@@ -545,12 +545,11 @@ def _cmd_spiral(args) -> int:
 
 
 def _cmd_falsify(args) -> int:
-    z = _parse_point(args.z)
     try:
         report = falsify_candidate(
             BUILTIN_CANDIDATES[args.candidate],
             args.m,
-            z,
+            _parse_point(args.z),
             args.rho,
             args.sphere_samples,
             rng=np.random.default_rng(args.seed),

@@ -186,7 +186,7 @@ class Ball(ConvexSet):
 
     def _project(self, x):
         w = x - self.center
-        n = float(np.linalg.norm(w))
+        n = math.sqrt(float(w @ w))  # bit-identical to np.linalg.norm(w)
         if n <= self.radius:
             return x.copy()
         return self.center + (self.radius / n) * w

@@ -14,7 +14,6 @@ Three ingredients:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -33,6 +32,7 @@ from .product import CyclicSquared, PairwiseSquared, as_product_point, solve_pro
 from .sweep import Cycle, run_periodic
 
 _COLLINEAR_RTOL = 1e-12
+_CSV_BLOCK_ROWS = 1024
 UNIT_NORM_TOL = 1e-12
 
 STRICT_1 = "strict-1"
@@ -238,25 +238,10 @@ def _perimeter(y):
     return float(np.sum(np.linalg.norm(y - np.roll(y, -1, axis=0), axis=1)))
 
 
-def _cyclic_squared(y):
-    d = y - np.roll(y, -1, axis=0)
-    return float(np.sum(d * d))
-
-
-def _pairwise_squared(y):
-    m = y.shape[0]
-    total = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = y[i] - y[j]
-            total += float(d @ d)
-    return total / (2.0 * (m - 1.0))
-
-
 BUILTIN_CANDIDATES = {
     "perimeter": CandidateFunctional(_perimeter, "perimeter"),
-    "cyclic2": CandidateFunctional(_cyclic_squared, "cyclic2"),
-    "pairwise2": CandidateFunctional(_pairwise_squared, "pairwise2"),
+    "cyclic2": CandidateFunctional(lambda y: CyclicSquared(len(y)).value(y), "cyclic2"),
+    "pairwise2": CandidateFunctional(lambda y: PairwiseSquared(len(y)).value(y), "pairwise2"),
     "constant": CandidateFunctional(lambda y: 0.0, "constant"),
     "tuple_norm": CandidateFunctional(lambda y: float(np.linalg.norm(y)), "tuple_norm"),
 }
@@ -415,11 +400,14 @@ def candidate_gap(family: Family, candidate_kind: str, x0, cfg: Optional[SolverC
 
 def write_spiral_csv(points: np.ndarray, path) -> None:
     """Spiral rows: k, x_0, ..., x_{d-1}, norm."""
+    points = np.ascontiguousarray(points, dtype=float)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
         d = points.shape[1]
-        writer.writerow(["k"] + [f"x_{j}" for j in range(d)] + ["norm"])
-        for k, row in enumerate(points):
-            writer.writerow(
-                [k] + [repr(float(c)) for c in row] + [repr(float(np.linalg.norm(row)))]
-            )
+        fh.write(",".join(["k"] + [f"x_{j}" for j in range(d)] + ["norm"]) + "\n")
+        # in blocks: one .tolist() of the whole array would hold n*d Python floats
+        for start in range(0, len(points), _CSV_BLOCK_ROWS):
+            block = points[start : start + _CSV_BLOCK_ROWS]
+            # a 1 x d by d x 1 matmul runs the dot kernel of np.linalg.norm(row)
+            norms = np.sqrt((block[:, None, :] @ block[:, :, None]).ravel())
+            for k, (row, norm) in enumerate(zip(block.tolist(), norms.tolist()), start):
+                fh.write(f"{k},{','.join(map(repr, row))},{norm!r}\n")

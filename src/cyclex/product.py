@@ -7,7 +7,6 @@ the product set C_1 x ... x C_m whose projection acts blockwise.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -39,7 +38,8 @@ def as_product_point(blocks, m: Optional[int] = None, dim: Optional[int] = None)
 
 def project_blocks(family: Family, y: np.ndarray) -> np.ndarray:
     """Projection onto the product set: each block onto its own set."""
-    return np.stack([family.sets[i].project(y[i]) for i in range(family.m)])
+    y = as_product_point(y, family.m, family.dim)
+    return np.stack([s._project(row) for s, row in zip(family.sets, y)])
 
 
 def diagonal_project(y: np.ndarray) -> np.ndarray:
@@ -58,18 +58,20 @@ class PairwiseSquared:
         if m < 2:
             raise ValueError("pairwise objective needs m >= 2")
         self.m = int(m)
+        self._pairs = np.triu_indices(self.m, 1)
 
     @property
     def lipschitz_inverse_beta(self) -> float:
         return self.m / (self.m - 1.0)
 
     def value(self, y: np.ndarray) -> float:
-        total = 0.0
-        for i in range(self.m):
-            for j in range(i + 1, self.m):
-                d = y[i] - y[j]
-                total += float(d @ d)
-        return total / (2.0 * (self.m - 1.0))
+        # Bit-identical to summing float(d @ d) over i < j in a double loop:
+        # batched matmul of 1 x d by d x 1 runs the same dot kernel as d @ d,
+        # and cumsum adds the terms strictly in order (np.sum would pair them).
+        i, j = self._pairs
+        d = y[i] - y[j]
+        terms = (d[:, None, :] @ d[:, :, None]).ravel()
+        return float(np.cumsum(terms)[-1]) / (2.0 * (self.m - 1.0))
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
         s = y.sum(axis=0)
@@ -331,14 +333,8 @@ def write_iteration_csv(log, path) -> None:
     header = ["iter", "objective_value", "displacement", "stationarity_residual"]
     header += [f"block{i}_x{j}" for i in range(m) for j in range(d)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(header) + "\n")
         for rec in log:
-            row = [
-                rec.iteration,
-                repr(float(rec.objective)),
-                repr(float(rec.displacement)),
-                repr(float(rec.stationarity)),
-            ]
-            row += [repr(float(c)) for c in rec.blocks.ravel()]
-            writer.writerow(row)
+            scalars = (float(rec.objective), float(rec.displacement), float(rec.stationarity))
+            cells = map(repr, (*scalars, *rec.blocks.ravel().tolist()))
+            fh.write(f"{rec.iteration},{','.join(cells)}\n")

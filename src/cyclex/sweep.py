@@ -7,7 +7,7 @@ tuple (y_1, ..., y_m) with y_i = P_i y_{i+1} cyclically.
 
 from __future__ import annotations
 
-import csv
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -41,28 +41,28 @@ class Cycle:
 
 
 @dataclass(frozen=True)
-class TrajectoryPoint:
-    sweep: int
-    inner: int
-    set_index: int
-    point: np.ndarray
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Every projection output of a run, in chronological order."""
+    """Every projection output of a run, in chronological order.
+
+    ``iterates`` is an (N, d) array with one row per projection.  Row k
+    is inner step k % m of sweep k // m, the output of set
+    ``default_order(m)[k % m]``.
+    """
 
     start: np.ndarray
-    iterates: tuple
+    iterates: np.ndarray
     stop_reason: str  # "converged" | "max_iterations"
     sweeps_used: int
 
+    @property
+    def m(self) -> int:
+        """Projections per sweep (every sweep records one row per set)."""
+        return len(self.iterates) // self.sweeps_used
+
     def sweep_ends(self):
         """The sweep boundary points x_0, x_m, x_{2m}, ... as one array."""
-        m = max(r.inner for r in self.iterates) + 1 if self.iterates else 0
-        ends = [self.start]
-        ends.extend(r.point for r in self.iterates if r.inner == m - 1)
-        return np.asarray(ends)
+        m = self.m
+        return np.concatenate([self.start[None, :], self.iterates[m - 1 :: m]])
 
 
 def default_order(m: int):
@@ -84,9 +84,10 @@ def sweep_once(family: Family, x, order: Optional[Sequence[int]] = None):
         order = tuple(int(i) for i in order)
         if sorted(order) != list(range(family.m)):
             raise ValueError("order must be a permutation of 0..m-1")
+    sets = family.sets
     intermediates = []
     for i in order:
-        x = family.sets[i].project(x)
+        x = sets[i]._project(x)
         intermediates.append(x)
     return x, intermediates
 
@@ -103,7 +104,7 @@ def cycle_residual(family: Family, points) -> float:
     worst = 0.0
     for i in range(family.m):
         succ = pts[(i + 1) % family.m]
-        gap = float(np.linalg.norm(pts[i] - family.sets[i].project(succ)))
+        gap = float(np.linalg.norm(pts[i] - family.sets[i]._project(succ)))
         if gap > worst:
             worst = gap
     return worst
@@ -121,33 +122,32 @@ def run_periodic(family: Family, x0, cfg: Optional[SolverConfig] = None):
     cfg.cycle_tol.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    x = as_vector(x0, family.dim).copy()
+    start = as_vector(x0, family.dim).copy()
     if not any(s.bounded for s in family.sets):
         warnings.warn(
             "no set in the family is bounded; the periodic iteration may not settle",
             RuntimeWarning,
             stacklevel=2,
         )
-    order = default_order(family.m)
-    records = []
+    x = start
+    rows = []
     stop_reason = "max_iterations"
     sweeps_used = 0
     intermediates = None
     for n in range(cfg.max_sweeps):
         x_prev = x
+        # sweep_once validates x, so a non-finite iterate stops the run
         x, intermediates = sweep_once(family, x)
-        records.extend(
-            TrajectoryPoint(sweep=n, inner=k, set_index=order[k], point=p)
-            for k, p in enumerate(intermediates)
-        )
+        rows.extend(intermediates)
         sweeps_used = n + 1
-        if float(np.linalg.norm(x - x_prev)) <= cfg.sweep_tol:
+        step = x - x_prev
+        if math.sqrt(float(step @ step)) <= cfg.sweep_tol:
             stop_reason = "converged"
             break
     cycle = Cycle.from_points(family, tuple(reversed(intermediates)))
     trajectory = Trajectory(
-        start=as_vector(x0, family.dim).copy(),
-        iterates=tuple(records),
+        start=start,
+        iterates=np.array(rows),
         stop_reason=stop_reason,
         sweeps_used=sweeps_used,
     )
@@ -176,10 +176,11 @@ def min_distance_pair(c1, c2, x0, cfg: Optional[SolverConfig] = None):
 
 def write_trajectory_csv(trajectory: Trajectory, dim: int, path) -> None:
     """One row per projection application: sweep,n_inner,set_index,x_0..x_{d-1}."""
+    m = trajectory.m
+    order = default_order(m)
+    header = ["sweep", "n_inner", "set_index"] + [f"x_{j}" for j in range(dim)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sweep", "n_inner", "set_index"] + [f"x_{j}" for j in range(dim)])
-        for rec in trajectory.iterates:
-            writer.writerow(
-                [rec.sweep, rec.inner, rec.set_index] + [repr(float(c)) for c in rec.point]
-            )
+        fh.write(",".join(header) + "\n")
+        for k, row in enumerate(trajectory.iterates):
+            inner = k % m
+            fh.write(f"{k // m},{inner},{order[inner]},{','.join(map(repr, row.tolist()))}\n")

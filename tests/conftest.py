@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -160,3 +162,26 @@ def equilateral_ball_family_oracle(centers, radius):
         v = (centroid - c) / np.linalg.norm(centroid - c)
         blocks.append(c + t * v)
     return np.asarray(blocks), t
+
+
+def pairwise_squared_loop(y):
+    """Pairwise objective as the literal double loop over i < j, summed left
+    to right from 0.0 with one dot product per pair."""
+    m = y.shape[0]
+    total = 0.0
+    for i in range(m):
+        for j in range(i + 1, m):
+            d = y[i] - y[j]
+            total += float(d @ d)
+    return total / (2.0 * (m - 1.0))
+
+
+def csv_writer_bytes(header, rows):
+    """What ``csv.writer`` with newline line ends writes for a header and rows
+    whose cells are ints or floats; floats are written as their repr."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([c if isinstance(c, int) else repr(float(c)) for c in row])
+    return buf.getvalue().encode()

@@ -313,6 +313,14 @@ class TestMain:
         b = (tmp_path / "o2/falsify.json").read_bytes()
         assert a == b
 
+    def test_falsify_bad_point_is_one_line_error(self, capsys):
+        code = main(["falsify", "--candidate", "pairwise2", "--m", "3", "--rho", "2", "--z", "1,abc"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "could not parse point '1,abc'" in err[0]
+        assert "Traceback" not in err[0]
+
     def test_falsify_subcommand(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(

@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import csv_writer_bytes
 from cyclex import (
     BUILTIN_CANDIDATES,
     AntipodalAmbiguity,
     Ball,
     Box,
     CandidateFunctional,
+    CyclicSquared,
     DegenerateInput,
     Family,
     InvalidRho,
     InvalidUnitVector,
+    PairwiseSquared,
     Ray,
     Segment,
     SpiralSpec,
@@ -25,7 +30,7 @@ from cyclex import (
     run_periodic,
     spiral,
 )
-from cyclex.impossibility import VERDICT_FALSIFIED
+from cyclex.impossibility import VERDICT_FALSIFIED, write_spiral_csv
 
 
 def spiral_at_angle(alpha, n, start_norm=1.0, target_norm=0.05):
@@ -204,6 +209,16 @@ class TestFalsifier:
         assert set(payload) == {"candidate", "chain", "violated_link", "gap", "verdict"}
         assert payload["chain"] == [4.0, 6.0, 4.0, 6.0]
 
+    @pytest.mark.parametrize("name,objective", [
+        ("pairwise2", PairwiseSquared),
+        ("cyclic2", CyclicSquared),
+    ])
+    def test_smooth_candidates_are_the_product_objectives(self, name, objective):
+        rng = np.random.default_rng(41)
+        for m in (3, 4, 7):
+            y = rng.uniform(-3, 3, (m, 2))
+            assert BUILTIN_CANDIDATES[name](y) == objective(m).value(y)
+
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             falsify_candidate(BUILTIN_CANDIDATES["perimeter"], 3, [1.0, 0.0], 2.0, 1)
@@ -235,3 +250,31 @@ class TestCandidateGap:
         fam = Family((Ball([0, 0], 1.0), Ball([4, 0], 1.0)))
         with pytest.raises(ValueError):
             candidate_gap(fam, "perimeter", [0.0, 0.0])
+
+
+def spiral_csv_reference(points):
+    d = points.shape[1]
+    rows = [[k, *row, np.linalg.norm(row)] for k, row in enumerate(points)]
+    return csv_writer_bytes(["k", *(f"x_{j}" for j in range(d)), "norm"], rows)
+
+
+def test_spiral_csv_matches_csv_writer(tmp_path):
+    # 5000 rows span several write blocks
+    _, pts, _ = spiral_at_angle(2.4, 4999)
+    path = tmp_path / "spiral.csv"
+    write_spiral_csv(pts, path)
+    assert path.read_bytes() == spiral_csv_reference(pts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 1e-150, 1e-8, 1e6, 1e150]),
+)
+def test_spiral_csv_norms_match_np_linalg_norm(tmp_path_factory, d, n, seed, scale):
+    points = scale * np.random.default_rng(seed).standard_normal((n, d))
+    path = tmp_path_factory.mktemp("spiral") / "spiral.csv"
+    write_spiral_csv(points, path)
+    assert path.read_bytes() == spiral_csv_reference(points)

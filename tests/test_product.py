@@ -2,13 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import central_difference_gradient, equilateral_ball_family_oracle, make_set
+from conftest import (
+    central_difference_gradient,
+    csv_writer_bytes,
+    equilateral_ball_family_oracle,
+    make_set,
+    pairwise_squared_loop,
+)
 from cyclex import (
     Ball,
     BlockCountMismatch,
     Box,
     CyclicSquared,
+    DimensionMismatch,
     Family,
     InvalidStepSize,
     NotConverged,
@@ -22,6 +31,7 @@ from cyclex import (
     fair_point_residual,
     fixpoint_check,
     grad_objective,
+    project_blocks,
     solve_parallel,
     solve_projected_gradient,
 )
@@ -60,6 +70,34 @@ class TestObjectives:
     def test_block_count_mismatch(self):
         with pytest.raises(BlockCountMismatch):
             eval_objective(PairwiseSquared(3), np.zeros((2, 2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(2, 12),
+        d=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.sampled_from([0.0, 1.0, -3e4, 1e8, -1e12]),
+        scale=st.sampled_from([1.0, 1e-150, 1e-8, 1e6, 1e100]),
+    )
+    def test_pairwise_value_equals_double_loop(self, m, d, seed, offset, scale):
+        # exact equality: artifacts built from the objective must not move a bit
+        rng = np.random.default_rng(seed)
+        y = offset + scale * rng.standard_normal((m, d))
+        assert PairwiseSquared(m).value(y) == pairwise_squared_loop(y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.integers(2, 6).flatmap(
+            lambda m: st.lists(
+                st.lists(st.floats(-1e150, 1e150), min_size=3, max_size=3),
+                min_size=m,
+                max_size=m,
+            )
+        )
+    )
+    def test_pairwise_value_equals_double_loop_on_raw_floats(self, rows):
+        y = np.array(rows)
+        assert PairwiseSquared(len(rows)).value(y) == pairwise_squared_loop(y)
 
     @pytest.mark.parametrize("make", [
         lambda m: PairwiseSquared(m),
@@ -253,6 +291,46 @@ def test_reduction_identity_iterate_for_iterate():
         assert len(s1.log) == len(s2.log)
         for a, b in zip(s1.log, s2.log):
             assert np.max(np.abs(a.blocks - b.blocks)) <= 1e-12
+
+
+class TestProjectBlocks:
+    FAMILY = Family((Ball([0, 0], 1.0), Box([2, 2], [3, 3]), Ball([5, 0], 1.0)))
+
+    def test_blockwise(self):
+        y = np.array([[3.0, 0.0], [0.0, 0.0], [5.0, 0.5]])
+        assert np.array_equal(project_blocks(self.FAMILY, y), [[1.0, 0.0], [2.0, 2.0], [5.0, 0.5]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        y = np.zeros((3, 2))
+        y[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            project_blocks(self.FAMILY, y)
+
+    @pytest.mark.parametrize("shape,error", [
+        ((2, 2), BlockCountMismatch),
+        ((4, 2), BlockCountMismatch),
+        ((3, 3), DimensionMismatch),
+        ((3, 2, 1), ValueError),
+    ])
+    def test_rejects_mis_shaped(self, shape, error):
+        with pytest.raises(error):
+            project_blocks(self.FAMILY, np.zeros(shape))
+
+
+def test_iteration_csv_matches_csv_writer(tmp_path):
+    # row 0 carries NaN displacement and stationarity
+    sol = solve_parallel(equilateral_family(), EQUILATERAL_CENTERS)
+    path = tmp_path / "log.csv"
+    write_iteration_csv(sol.log, path)
+    header = ["iter", "objective_value", "displacement", "stationarity_residual"]
+    header += [f"block{i}_x{j}" for i in range(3) for j in range(2)]
+    rows = [
+        [r.iteration, r.objective, r.displacement, r.stationarity, *r.blocks.ravel()]
+        for r in sol.log
+    ]
+    assert math.isnan(rows[0][2]) and math.isnan(rows[0][3])
+    assert path.read_bytes() == csv_writer_bytes(header, rows)
 
 
 def test_iteration_csv_layout(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_set
+from conftest import csv_writer_bytes, make_set
 from cyclex import (
     Ball,
     Box,
@@ -192,3 +192,37 @@ def test_trajectory_csv_layout(tmp_path):
     assert lines[0] == "sweep,n_inner,set_index,x_0,x_1"
     assert lines[1] == "0,0,2,2.0,0.0"
     assert len(lines) == 1 + len(traj.iterates)
+
+
+def test_trajectory_iterates_are_one_array():
+    fam = degenerate_family()
+    traj, _ = run_periodic(fam, [5, 5])
+    assert isinstance(traj.iterates, np.ndarray)
+    assert traj.iterates.shape == (traj.sweeps_used * fam.m, 2)
+    x = traj.start
+    for n in range(traj.sweeps_used):
+        x, inter = sweep_once(fam, x)
+        assert np.array_equal(traj.iterates[n * fam.m : (n + 1) * fam.m], inter)
+
+
+def test_trajectory_csv_matches_csv_writer(tmp_path):
+    # index columns rebuilt by replaying the sweeps with the public sweep_once
+    fam = Family((Ball([0, 0], 1.0), Ball([3, 0.5], 1.0), Box([1, -2], [2, -1])))
+    traj, _ = run_periodic(fam, [-4.0, 7.25])
+    order = [2, 1, 0]  # last set first
+    rows, x = [], traj.start
+    for n in range(traj.sweeps_used):
+        x, inter = sweep_once(fam, x)
+        rows.extend([n, k, order[k], *p] for k, p in enumerate(inter))
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, 2, path)
+    header = ["sweep", "n_inner", "set_index", "x_0", "x_1"]
+    assert path.read_bytes() == csv_writer_bytes(header, rows)
+
+
+def test_non_finite_iterate_stops_the_run():
+    # the halfspace, applied first, turns the start into NaN: inf / inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        fam = Family((Ball([0, 0], 1.0), Halfspace([1e200, 0], 0.0)))
+        with pytest.raises(ValueError, match="point has non-finite coordinates"):
+            run_periodic(fam, [1e200, 0])
