@@ -531,15 +531,7 @@ def _cmd_spiral(args) -> int:
     except (CyclexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        write_spiral_csv(points, args.out)
-    else:
-        d = points.shape[1]
-        print(",".join(["k"] + [f"x_{j}" for j in range(d)] + ["norm"]))
-        for k, row in enumerate(points):
-            cells = [str(k)] + [repr(float(c)) for c in row]
-            cells.append(repr(float(np.linalg.norm(row))))
-            print(",".join(cells))
+    write_spiral_csv(points, args.out or sys.stdout)
     print(f"final_norm={final_norm!r}", file=sys.stderr)
     return 0
 

@@ -189,6 +189,9 @@ class Ball(ConvexSet):
         n = math.sqrt(float(w @ w))  # bit-identical to np.linalg.norm(w)
         if n <= self.radius:
             return x.copy()
+        if n == math.inf:  # w @ w overflowed: take the direction of w rescaled
+            w = w / float(np.max(np.abs(w)))
+            n = math.sqrt(float(w @ w))
         return self.center + (self.radius / n) * w
 
     def sample(self, rng):
@@ -323,9 +326,14 @@ class AffineSubspace(ConvexSet):
 class Ellipsoid(ConvexSet):
     """The solid ellipsoid {y : sum(((y_i - c_i)/axes_i)^2) <= 1}.
 
-    The only variant without a closed-form projection: exterior points are
-    projected by solving the scalar secular equation for the Lagrange
-    multiplier with Newton steps inside a bisection safeguard.
+    The only variant without a closed-form projection.  An exterior point
+    x = c + w projects to c + a^2 w / (a^2 + t), where the multiplier
+    t >= 0 solves the secular equation sum(a_i^2 w_i^2 / (a_i^2 + t)^2) = 1.
+    It is found by Newton's method on the reformulation
+    psi(t) = 1 - 1/||v(t)||, v_i = a_i w_i / (a_i^2 + t) (Moré and
+    Sorensen 1983; Dai 2006), started at the lower bound
+    t_0 = max(0, max_i(a_i |w_i| - a_i^2)) and kept inside a bisection
+    bracket, until the secular residual is at most 1e-13.
     """
 
     center: np.ndarray
@@ -347,41 +355,33 @@ class Ellipsoid(ConvexSet):
 
     def _project(self, x):
         w = x - self.center
-        a2 = self.axes * self.axes
-        if float(np.sum((w / self.axes) ** 2)) <= 1.0:
+        a = self.axes
+        if float(np.sum((w / a) ** 2)) <= 1.0:
             return x.copy()
 
-        aw2 = a2 * w * w  # (a_i w_i)^2
-
-        def secular(t):
-            return float(np.sum(aw2 / (a2 + t) ** 2)) - 1.0
-
-        lo = 0.0
-        hi = float(np.linalg.norm(w)) * float(np.max(self.axes))
-        # enlarge until the bracket straddles the root (f(0) > 0 outside)
-        while secular(hi) > 0.0:
-            hi *= 2.0
-            if not math.isfinite(hi):
-                raise EllipsoidNewtonFailure("secular equation could not be bracketed")
-
-        t = lo
-        f = secular(t)
+        # 1/||v(t)|| is concave and increasing, so Newton on psi from left
+        # of the root climbs to it monotonically.  Every |v_i| <= 1 at the
+        # root, so the start t_0 lies left of it.
+        a2 = a * a
+        aw = a * w
+        t = max(0.0, float(np.max(np.abs(aw) - a2)))
+        lo, hi = t, math.sqrt(float(aw @ aw))  # s(hi) < 1
         for _ in range(_SECULAR_MAX_ITER):
-            if abs(f) <= _SECULAR_TOL:
+            d = a2 + t
+            r = aw / d
+            s = float(r @ r)  # ||v(t)||^2
+            if abs(s - 1.0) <= _SECULAR_TOL:
                 break
-            df = -2.0 * float(np.sum(aw2 / (a2 + t) ** 3))
-            t_new = t - f / df if df != 0.0 else 0.5 * (lo + hi)
-            if not lo < t_new < hi:
-                t_new = 0.5 * (lo + hi)
-            f_new = secular(t_new)
-            if f_new > 0.0:
-                lo = t_new
+            if s > 1.0:
+                lo = t
             else:
-                hi = t_new
-            t, f = t_new, f_new
+                hi = t
+            q = float(r @ (r / d))  # -s'(t) / 2
+            t_new = t + s * (math.sqrt(s) - 1.0) / q
+            t = t_new if lo < t_new < hi else 0.5 * (lo + hi)
         else:
             raise EllipsoidNewtonFailure(
-                f"secular residual {f:.3e} after {_SECULAR_MAX_ITER} iterations"
+                f"secular residual {s - 1.0:.3e} after {_SECULAR_MAX_ITER} iterations"
             )
         return self.center + (a2 * w) / (a2 + t)
 

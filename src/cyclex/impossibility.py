@@ -15,6 +15,7 @@ Three ingredients:
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -398,10 +399,13 @@ def candidate_gap(family: Family, candidate_kind: str, x0, cfg: Optional[SolverC
     )
 
 
-def write_spiral_csv(points: np.ndarray, path) -> None:
-    """Spiral rows: k, x_0, ..., x_{d-1}, norm."""
+def write_spiral_csv(points: np.ndarray, out) -> None:
+    """Spiral rows: k, x_0, ..., x_{d-1}, norm.
+
+    ``out`` is a path, or an open text file that is written and left open.
+    """
     points = np.ascontiguousarray(points, dtype=float)
-    with open(path, "w", newline="") as fh:
+    with nullcontext(out) if hasattr(out, "write") else open(out, "w", newline="") as fh:
         d = points.shape[1]
         fh.write(",".join(["k"] + [f"x_{j}" for j in range(d)] + ["norm"]) + "\n")
         # in blocks: one .tolist() of the whole array would hold n*d Python floats

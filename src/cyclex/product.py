@@ -8,7 +8,7 @@ the product set C_1 x ... x C_m whose projection acts blockwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -177,7 +177,10 @@ def solve_projected_gradient(family: Family, obj, x0, cfg: Optional[SolverConfig
 
     Returns a ProductSolution whose blocks lie in their sets (within
     cfg.cycle_tol) and satisfy the blockwise fixed-point identity within
-    cfg.fixpoint_tol.  Raises NotConverged (solution attached) otherwise.
+    cfg.fixpoint_tol.  Raises NotConverged (solution attached) otherwise,
+    with stop_reason "max_iterations" when the budget ran out and
+    "certificate_failed" when the iteration settled on a tuple that fails
+    either check.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     x = as_product_point(x0, m=family.m, dim=family.dim).copy()
@@ -207,14 +210,14 @@ def solve_projected_gradient(family: Family, obj, x0, cfg: Optional[SolverConfig
             break
 
     solution = _certify(family, x, obj, gamma, iterations, stop_reason, log)
-    if (
-        stop_reason != "converged"
-        or solution.membership > cfg.cycle_tol
-        or solution.stationarity > cfg.fixpoint_tol
+    if stop_reason == "converged" and (
+        solution.membership > cfg.cycle_tol or solution.stationarity > cfg.fixpoint_tol
     ):
+        solution = replace(solution, stop_reason="certificate_failed")
+    if solution.stop_reason != "converged":
         raise NotConverged(
             f"projected-gradient run stopped after {iterations} iterations "
-            f"(stop_reason={stop_reason}, stationarity={solution.stationarity:.3e})",
+            f"(stop_reason={solution.stop_reason}, stationarity={solution.stationarity:.3e})",
             solution=solution,
         )
     return solution
@@ -261,6 +264,8 @@ def solve_parallel(family: Family, x0, cfg: Optional[SolverConfig] = None, varia
     target = (s - x) / (m - 1.0) if variant == "others_mean" else np.broadcast_to(s / m, x.shape)
     stationarity = float(np.max(np.linalg.norm(project_blocks(family, target) - x, axis=1)))
     membership = float(np.max(np.linalg.norm(project_blocks(family, x) - x, axis=1)))
+    if stop_reason == "converged" and stationarity > cfg.fixpoint_tol:
+        stop_reason = "certificate_failed"
     solution = ProductSolution(
         blocks=x,
         fair_point=x.mean(axis=0),
@@ -271,7 +276,7 @@ def solve_parallel(family: Family, x0, cfg: Optional[SolverConfig] = None, varia
         stop_reason=stop_reason,
         log=tuple(log),
     )
-    if stop_reason != "converged" or solution.stationarity > cfg.fixpoint_tol:
+    if stop_reason != "converged":
         raise NotConverged(
             f"parallel run stopped after {iterations} iterations "
             f"(stop_reason={stop_reason}, stationarity={solution.stationarity:.3e})",

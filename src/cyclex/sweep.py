@@ -51,7 +51,7 @@ class Trajectory:
 
     start: np.ndarray
     iterates: np.ndarray
-    stop_reason: str  # "converged" | "max_iterations"
+    stop_reason: str  # "converged" | "max_iterations" | "certificate_failed"
     sweeps_used: int
 
     @property
@@ -118,8 +118,9 @@ def run_periodic(family: Family, x0, cfg: Optional[SolverConfig] = None):
     reported as y_i).  Returns ``(Trajectory, Cycle)``.
 
     Raises NotConverged, with the trajectory and best candidate attached,
-    when the sweep budget runs out or the candidate's residual exceeds
-    cfg.cycle_tol.
+    when the sweep budget runs out (stop_reason "max_iterations") or the
+    sweeps settle on a candidate whose residual exceeds cfg.cycle_tol
+    (stop_reason "certificate_failed").
     """
     cfg = cfg if cfg is not None else SolverConfig()
     start = as_vector(x0, family.dim).copy()
@@ -129,29 +130,36 @@ def run_periodic(family: Family, x0, cfg: Optional[SolverConfig] = None):
             RuntimeWarning,
             stacklevel=2,
         )
+    m = family.m
+    chain = [family.sets[i]._project for i in default_order(m)]
+    sweep_tol = cfg.sweep_tol
     x = start
     rows = []
     stop_reason = "max_iterations"
     sweeps_used = 0
-    intermediates = None
     for n in range(cfg.max_sweeps):
         x_prev = x
-        # sweep_once validates x, so a non-finite iterate stops the run
-        x, intermediates = sweep_once(family, x)
-        rows.extend(intermediates)
+        for project in chain:
+            x = project(x)
+            rows.append(x)
         sweeps_used = n + 1
         step = x - x_prev
-        if math.sqrt(float(step @ step)) <= cfg.sweep_tol:
+        displacement = math.sqrt(float(step @ step))
+        if displacement <= sweep_tol:
             stop_reason = "converged"
             break
-    cycle = Cycle.from_points(family, tuple(reversed(intermediates)))
+        if not math.isfinite(displacement):
+            as_vector(x)  # raises ValueError when the iterate is not finite
+    cycle = Cycle.from_points(family, tuple(reversed(rows[-m:])))
+    if stop_reason == "converged" and cycle.residual > cfg.cycle_tol:
+        stop_reason = "certificate_failed"
     trajectory = Trajectory(
         start=start,
         iterates=np.array(rows),
         stop_reason=stop_reason,
         sweeps_used=sweeps_used,
     )
-    if stop_reason != "converged" or cycle.residual > cfg.cycle_tol:
+    if stop_reason != "converged":
         raise NotConverged(
             f"periodic run stopped after {sweeps_used} sweeps "
             f"(stop_reason={stop_reason}, residual={cycle.residual:.3e})",

@@ -121,6 +121,36 @@ def ellipse_boundary_oracle(ellipsoid: Ellipsoid, x, grid=4096):
     return boundary(0.5 * (lo + hi))
 
 
+def ellipsoid_kkt_defects(ellipsoid: Ellipsoid, x, p):
+    """How far ``p`` is from satisfying the KKT conditions of projecting
+    the point ``x`` onto a solid ellipsoid, from the conditions alone
+    (no secular equation, no multiplier from the kernel).
+
+    For x outside, p is the projection iff p lies on the boundary and
+    x - p = mu (p - c) / a^2 for some mu >= 0.  Returns
+    ``(boundary, mu, misalignment)``: the boundary defect
+    |sum(((p - c)/a)^2) - 1| as a multiple of its allowance
+    ``rtol + 4 eps (1 + ||p/a|| + ||c/a||)``; the least-squares mu; and
+    ||x - p - mu (p - c)/a^2|| as a multiple of its allowance
+    ``rtol ||x - p|| + 16 eps (||x|| + ||p|| + mu ||(|p| + |c|)/a^2||)``.
+    The eps terms are what rounding p and c to float64 alone can cause,
+    so a correct projection reads at most 1 on both defects.
+    """
+    rtol = 1e-12
+    eps = np.finfo(float).eps
+    c, a = ellipsoid.center, ellipsoid.axes
+    x, p = np.asarray(x, float), np.asarray(p, float)
+    norm = np.linalg.norm
+    z = (p - c) / a
+    boundary = abs(float(z @ z) - 1.0) / (rtol + 4 * eps * (1 + norm(p / a) + norm(c / a)))
+    g = z / a  # outer normal (p - c) / a^2
+    r = x - p
+    mu = float(r @ g) / float(g @ g)
+    slack = rtol * norm(r) + 16 * eps * (norm(x) + norm(p) + mu * norm((abs(p) + abs(c)) / a**2))
+    misalignment = float(norm(r - mu * g)) / slack
+    return boundary, mu, misalignment
+
+
 def central_difference_gradient(obj, y, h=1e-6):
     """Blockwise central finite differences of an objective's value."""
     y = np.asarray(y, float)

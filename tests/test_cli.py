@@ -239,6 +239,22 @@ class TestRunExperiment:
         assert "error" in payload
         assert (tmp_path / "periodic.csv").exists()
 
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [("periodic", {}), ("projected_gradient", {"objective": {"kind": "pairwise2"}})],
+    )
+    def test_failed_certificate_is_reported_as_such(self, tmp_path, kind, extra):
+        # a loose sweep_tol stops after one step, far from the cycle or limit
+        cfg = validate_config(
+            {"kind": kind, "family": THREE_BALLS, "start": [2, 2], "solver": {"sweep_tol": 1e3}, **extra}
+        )
+        assert run_experiment(cfg, out_dir=tmp_path) == 2
+        payload = json.loads((tmp_path / f"{kind}.json").read_text())
+        assert payload["stop_reason"] == "certificate_failed"
+        assert "stop_reason=certificate_failed" in payload["error"]
+        assert payload["sweeps"] == 1
+        assert (tmp_path / f"{kind}.csv").exists()
+
     def test_deterministic_outputs(self, tmp_path):
         config = {
             "kind": "falsify",
@@ -293,6 +309,15 @@ class TestMain:
         rows = captured.out.strip().splitlines()
         assert rows[0] == "k,x_0,x_1,norm"
         assert rows[-1].endswith(",0.5")
+
+    def test_spiral_stdout_equals_out_file(self, tmp_path, capsys):
+        args = ["spiral", "--x", "0.3,0.1,0", "--y", "1,-2,0.5", "--n", "7"]
+        assert main(args) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "spiral.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert stdout.encode() == out.read_bytes()
 
     def test_run_seed_override(self, tmp_path):
         config = {

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import VARIANTS, ellipse_boundary_oracle, make_set
+from conftest import VARIANTS, ellipse_boundary_oracle, ellipsoid_kkt_defects, make_set
 from cyclex import (
     AffineSubspace,
     Ball,
@@ -191,6 +193,48 @@ def test_ellipsoid_handles_extreme_aspect():
     p = project(e, [5.0, 5.0])
     w = (p - np.zeros(2)) / e.axes
     assert abs(float(w @ w) - 1.0) <= 1e-10
+
+
+@st.composite
+def ellipsoid_and_exterior_point(draw):
+    """An ellipsoid in d = 2..6 with axis ratio up to 1e6, and a point
+    outside it from 1e-9 to 1e3 times the center-to-boundary distance,
+    pushed out along the outer normal or radially in scaled coordinates."""
+    d = draw(st.integers(2, 6))
+
+    def floats(lo, hi):
+        return st.lists(st.floats(lo, hi), min_size=d, max_size=d).map(np.array)
+
+    axes = 10.0 ** draw(floats(0.0, 6.0)) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    center = draw(floats(-1.0, 1.0)) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    u = draw(floats(-1.0, 1.0).filter(lambda v: np.linalg.norm(v) > 1e-3))
+    u = u / np.linalg.norm(u)
+    rho = 10.0 ** draw(st.floats(-9.0, 3.0))
+    b = center + axes * u  # on the boundary
+    if draw(st.booleans()):
+        normal = u / axes
+        x = b + (rho * np.linalg.norm(b - center) / np.linalg.norm(normal)) * normal
+    else:
+        x = center + (1.0 + rho) * axes * u
+    return Ellipsoid(center, axes), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ellipsoid_and_exterior_point())
+def test_ellipsoid_projection_meets_kkt_oracle(case):
+    e, x = case
+    boundary, mu, misalignment = ellipsoid_kkt_defects(e, x, project(e, x))
+    assert boundary <= 1.0
+    assert mu >= 0.0
+    assert misalignment <= 1.0
+
+
+def test_ball_projects_points_whose_squared_norm_overflows():
+    with np.errstate(over="ignore"):
+        got = project(Ball([0, 0], 1.0), [1e200, 1e200])
+        far = project(Ball([1, 2, 3], 2.0), [-1e300, 0.0, 1e300])
+    assert np.allclose(got, [math.sqrt(0.5), math.sqrt(0.5)], rtol=1e-15, atol=0.0)
+    assert np.allclose(far, [1 - math.sqrt(2), 2, 3 + math.sqrt(2)], rtol=1e-15, atol=0.0)
 
 
 def test_descriptor_round_trip():

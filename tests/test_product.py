@@ -185,6 +185,22 @@ class TestProjectedGradient:
         assert len(sol.log) == 3
 
 
+@pytest.mark.parametrize("solver", ["projected_gradient", "parallel"])
+def test_failed_certificate_is_its_own_stop_reason(solver):
+    # a loose sweep_tol stops after one iteration, far from the limit
+    fam = Family((Ball([0, 0], 1.0), Ball([9, 0], 1.0), Ball([5, 7], 1.0)))
+    cfg = SolverConfig(sweep_tol=1e3)
+    with pytest.raises(NotConverged, match="stop_reason=certificate_failed") as exc_info:
+        if solver == "parallel":
+            solve_parallel(fam, np.zeros((3, 2)), cfg)
+        else:
+            solve_projected_gradient(fam, PairwiseSquared(3), np.zeros((3, 2)), cfg)
+    sol = exc_info.value.diagnostics["solution"]
+    assert sol.stop_reason == "certificate_failed"
+    assert sol.iterations == 1
+    assert sol.stationarity > cfg.fixpoint_tol
+
+
 class TestParallel:
     def test_three_singletons_one_iteration(self):
         pts = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, -4.0]])

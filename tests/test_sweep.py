@@ -194,15 +194,49 @@ def test_trajectory_csv_layout(tmp_path):
     assert len(lines) == 1 + len(traj.iterates)
 
 
+def assert_rows_replay_sweep_once(fam, traj):
+    """Each sweep's rows equal, bit for bit, the public sweep_once replayed
+    from the recorded start."""
+    x = traj.start
+    for n in range(traj.sweeps_used):
+        x, inter = sweep_once(fam, x)
+        assert np.array_equal(traj.iterates[n * fam.m : (n + 1) * fam.m], inter)
+
+
 def test_trajectory_iterates_are_one_array():
     fam = degenerate_family()
     traj, _ = run_periodic(fam, [5, 5])
     assert isinstance(traj.iterates, np.ndarray)
     assert traj.iterates.shape == (traj.sweeps_used * fam.m, 2)
-    x = traj.start
-    for n in range(traj.sweeps_used):
-        x, inter = sweep_once(fam, x)
-        assert np.array_equal(traj.iterates[n * fam.m : (n + 1) * fam.m], inter)
+    assert_rows_replay_sweep_once(fam, traj)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    variants=st.lists(st.sampled_from(["ball", "box", "ellipsoid"]), min_size=2, max_size=4),
+    dim=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_periodic_rows_replay_sweep_once(variants, dim, seed):
+    rng = np.random.default_rng(seed)
+    fam = Family(tuple(make_set(v, dim, rng) for v in variants))
+    try:
+        traj, _ = run_periodic(fam, rng.uniform(-10, 10, dim), SolverConfig(max_sweeps=300))
+    except NotConverged as exc:
+        traj = exc.diagnostics["trajectory"]
+    assert traj.iterates.shape == (traj.sweeps_used * fam.m, dim)
+    assert_rows_replay_sweep_once(fam, traj)
+
+
+def test_failed_certificate_is_its_own_stop_reason():
+    # a loose sweep_tol stops after one sweep, far from the cycle
+    fam = Family((Ball([0, 0], 1.0), Ball([5, 0], 1.0)))
+    with pytest.raises(NotConverged, match="stop_reason=certificate_failed") as exc_info:
+        run_periodic(fam, [0, 3], SolverConfig(sweep_tol=5.0))
+    diag = exc_info.value.diagnostics
+    assert diag["trajectory"].stop_reason == "certificate_failed"
+    assert diag["trajectory"].sweeps_used == 1
+    assert diag["cycle"].residual > SolverConfig().cycle_tol
 
 
 def test_trajectory_csv_matches_csv_writer(tmp_path):
