@@ -2,9 +2,16 @@
 
 Subcommands: ``run`` (dispatch a JSON experiment config), ``project``
 (one projection), ``spiral`` (polygonal spiral CSV), ``falsify``
-(candidate-functional report).  Exit codes: 0 success, 1 validation or
-parse error, 2 a solver failed to converge (diagnostic artifacts are
-still written).
+(candidate-functional report).  Exit codes: 0 success, 1 a validation,
+parse, input or write error, 2 a solver failed to converge (diagnostic
+artifacts are still written) or a candidate survived the falsifier.
+Every input ends in one of these codes, with a message on stderr for 1.
+
+``_KINDS`` is the one place an experiment kind is defined: its config
+keys (each with a typed parser and either a default or required), its
+cross-field checks, its runner, and whether it writes a CSV.  The
+``spiral`` and ``falsify`` subcommands build a config from their
+arguments, so every entry point validates through the same table.
 """
 
 from __future__ import annotations
@@ -12,9 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,6 +30,7 @@ from .errors import ConfigValidation, CyclexError, NotConverged
 from .geometry import Family, as_vector, from_descriptor, project
 from .impossibility import (
     BUILTIN_CANDIDATES,
+    UNIT_NORM_TOL,
     SpiralSpec,
     VERDICT_FALSIFIED,
     candidate_gap,
@@ -31,134 +39,386 @@ from .impossibility import (
     write_spiral_csv,
 )
 from .product import (
-    CyclicSquared,
-    PairwiseSquared,
+    OBJECTIVES,
+    PARALLEL_VARIANTS,
     QuadraticToTarget,
+    as_product_point,
     solve_parallel,
     solve_projected_gradient,
     write_iteration_csv,
 )
 from .sweep import run_periodic, write_trajectory_csv
 
-KINDS = ("periodic", "pair_distance", "projected_gradient", "parallel", "spiral", "falsify", "gap")
-
-_COMMON_KEYS = {"kind", "solver", "output", "seed"}
-_KIND_KEYS = {
-    "periodic": {"family", "start"},
-    "pair_distance": {"family", "start"},
-    "projected_gradient": {"family", "start", "objective"},
-    "parallel": {"family", "start", "variant"},
-    "spiral": {"x", "y", "n", "plane"},
-    "falsify": {"candidate", "m", "z", "rho", "sphere_samples"},
-    "gap": {"family", "start", "candidate_kind"},
-}
-
-_OBJECTIVE_KINDS = ("pairwise2", "cyclic2", "quadratic_to_target")
+# what constructing a value from outside input may raise
+_PARSE_ERRORS = (CyclexError, ValueError, TypeError, OverflowError)
+# what the solvers raise on an input they reject
+_RUN_ERRORS = (CyclexError, ValueError)
 
 
 @dataclass
 class ExperimentConfig:
-    """A fully validated experiment: typed inputs plus output locations."""
+    """A fully validated experiment: common settings plus the kind's inputs.
+
+    ``inputs`` maps each config key of the kind to its parsed value (the
+    product kinds add ``start_blocks``); inputs also read as attributes,
+    e.g. ``config.family``.
+    """
 
     kind: str
     solver: SolverConfig
     seed: int = 0
     out_csv: Optional[str] = None
     out_json: Optional[str] = None
-    family: Optional[Family] = None
-    start: Optional[np.ndarray] = None
-    start_blocks: Optional[np.ndarray] = None
-    objective_kind: Optional[str] = None
-    objective_target: Optional[np.ndarray] = None
-    variant: str = "others_mean"
-    candidate: Optional[str] = None
-    candidate_kind: Optional[str] = None
-    tuple_size: Optional[int] = None
-    unit_direction: Optional[np.ndarray] = None
-    rho: Optional[float] = None
-    sphere_samples: int = 16
-    spiral_target: Optional[np.ndarray] = None
-    spiral_start: Optional[np.ndarray] = None
-    spiral_n: Optional[int] = None
-    spiral_plane: Optional[np.ndarray] = None
+    inputs: dict = field(default_factory=dict)
+
+    def __getattr__(self, name):
+        try:
+            return self.__dict__["inputs"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
 
-def _as_point(value, errors, name):
-    try:
-        return as_vector(value)
-    except (CyclexError, ValueError, TypeError) as exc:
-        errors.append(f"{name}: {exc}")
+# Parsers: parse(value, errors, name) returns the typed value, or appends
+# to ``errors`` and returns None.
+
+
+def _converted(convert):
+    """The parser of a converter that raises on a bad value."""
+
+    def parse(value, errors, name):
+        try:
+            return convert(value)
+        except _PARSE_ERRORS as exc:
+            errors.append(f"{name}: {exc}")
+            return None
+
+    return parse
+
+
+_as_point = _converted(as_vector)
+_as_blocks = _converted(as_product_point)  # a flat point is one block
+# product starts: one point (the cross-check gives every set a copy) or one row per set
+_as_start = _converted(lambda v: as_vector(v) if np.ndim(v) == 1 else as_product_point(v))
+
+
+def _real(value, errors, name):
+    # bools are ints in Python and JSON gives NaN and Infinity as floats
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    errors.append(f"{name} must be a finite number")
+    return None
+
+
+def _integer(low):
+    def parse(value, errors, name):
+        if type(value) is int and value >= low:
+            return value
+        errors.append(f"{name} must be an integer >= {low}")
         return None
 
+    return parse
 
-def _build_family(descs, errors):
+
+def _choice(options):
+    def parse(value, errors, name):
+        if isinstance(value, str) and value in options:
+            return value
+        errors.append(f"{name} must be one of {', '.join(options)}")
+        return None
+
+    return parse
+
+
+def _build_family(descs, errors, name):
     if not isinstance(descs, list) or not descs:
         errors.append("family must be a nonempty array of set descriptors")
         return None
-    sets = []
+    n_errors = len(errors)
+    built = []  # (index, set) of the entries that construct
     for i, desc in enumerate(descs):
         try:
-            sets.append(from_descriptor(desc))
-        except (CyclexError, ValueError, TypeError) as exc:
-            msg = str(exc)
-            fields = set(desc.keys()) if isinstance(desc, dict) else set()
-            first = msg.split(" ")[0] if msg else ""
-            if first in fields:
-                errors.append(f"family[{i}].{msg}")
-            else:
-                errors.append(f"family[{i}]: {msg}")
-            sets.append(None)
-    built = [s for s in sets if s is not None]
-    if built:
-        dim = built[0].dim
-        bad = False
-        for i, s in enumerate(sets):
-            if s is not None and s.dim != dim:
-                errors.append(f"family[{i}] has dimension {s.dim}, expected {dim}")
-                bad = True
-        if bad:
-            return None
-    if any(s is None for s in sets):
+            built.append((i, from_descriptor(desc)))
+        except _PARSE_ERRORS as exc:
+            # a message that starts with a field name reads as family[i].field ...
+            on_field = isinstance(desc, dict) and str(exc).split(" ")[0] in desc
+            errors.append(f"family[{i}]{'.' if on_field else ': '}{exc}")
+    for i, s in built:
+        if s.dim != built[0][1].dim:
+            errors.append(f"family[{i}] has dimension {s.dim}, expected {built[0][1].dim}")
+    if len(errors) > n_errors:
         return None
-    if len(sets) < 2:
+    if len(built) < 2:
         errors.append("family needs at least two sets")
         return None
-    return Family(tuple(sets))
+    return Family(tuple(s for _, s in built))
 
 
-def _build_solver(data, errors):
-    known = {
-        "gamma": float,
-        "lambda": float,
-        "sweep_tol": float,
-        "cycle_tol": float,
-        "fixpoint_tol": float,
-        "max_sweeps": int,
-        "max_iters": int,
-    }
-    kwargs = {}
+_SOLVER_SETTINGS = {
+    "gamma": _real,
+    "lambda": _real,
+    "sweep_tol": _real,
+    "cycle_tol": _real,
+    "fixpoint_tol": _real,
+    "max_sweeps": _integer(1),
+    "max_iters": _integer(1),
+}
+
+
+def _build_solver(data, errors, name):
     if not isinstance(data, dict):
         errors.append("solver must be an object")
-        return SolverConfig()
+        return None
+    kwargs = {}
     for key, value in data.items():
-        if key not in known:
+        if key not in _SOLVER_SETTINGS:
             errors.append(f"solver.{key} is not a recognized setting")
-            continue
-        try:
-            kwargs[key] = known[key](value)
-        except (TypeError, ValueError):
-            errors.append(f"solver.{key} must be a {known[key].__name__}")
+        else:
+            kwargs[key] = _SOLVER_SETTINGS[key](value, errors, f"solver.{key}")
+    if None in kwargs.values():
+        return None
     lam = kwargs.pop("lambda", None)
     if lam is not None:
         if lam < 0.0:
             errors.append("solver.lambda must be >= 0")
-        else:
-            kwargs["lambda_schedule"] = lambda n, _lam=lam: _lam
+            return None
+        kwargs["lambda_schedule"] = lambda n, _lam=lam: _lam
     try:
         return SolverConfig(**kwargs)
     except ValueError as exc:
         errors.append(f"solver: {exc}")
-        return SolverConfig()
+        return None
+
+
+def _output(data, errors, name):
+    if not isinstance(data, dict):
+        errors.append("output must be an object with optional csv/json paths")
+        return None
+    for key in sorted(set(data) - {"csv", "json"}):
+        errors.append(f"output.{key} is not recognized (use csv/json)")
+    paths = (data.get("csv"), data.get("json"))
+    for key, path in zip(("csv", "json"), paths):
+        if path is not None and not isinstance(path, str):
+            errors.append(f"output.{key} must be a path string")
+    return paths
+
+
+def _objective(data, errors, name):
+    """(kind, target rows or None) of an objective object."""
+    kinds = (*OBJECTIVES, "quadratic_to_target")
+    if not isinstance(data, dict) or data.get("kind") not in kinds:
+        errors.append(f"objective.kind must be one of {', '.join(kinds)}")
+        return None
+    for key in sorted(set(data) - {"kind", "target"}):
+        errors.append(f"objective.{key} is not recognized")
+    if data["kind"] != "quadratic_to_target":
+        return data["kind"], None
+    if "target" not in data:
+        errors.append("objective.target is required for quadratic_to_target")
+        return None
+    target = _as_blocks(data["target"], errors, "objective.target")
+    return None if target is None else (data["kind"], target)
+
+
+# Cross-field checks: check(inputs, errors) on the parsed inputs, any of
+# which may be None after a parse error.
+
+
+def _check_start(inputs, errors):
+    family, start = inputs["family"], inputs["start"]
+    if family is not None and start is not None and start.shape[0] != family.dim:
+        errors.append(f"start has dimension {start.shape[0]}, family expects {family.dim}")
+
+
+def _check_pair(inputs, errors):
+    if inputs["family"] is not None and inputs["family"].m != 2:
+        errors.append(f"pair_distance needs exactly 2 sets, family has {inputs['family'].m}")
+    _check_start(inputs, errors)
+
+
+def _check_block_shape(name, blocks, family, errors):
+    if blocks.shape[0] != family.m:
+        errors.append(f"{name} has {blocks.shape[0]} blocks, family has {family.m} sets")
+    elif blocks.shape[1] != family.dim:
+        errors.append(f"{name} blocks have dimension {blocks.shape[1]}, family expects {family.dim}")
+
+
+def _check_blocks(inputs, errors):
+    """Set ``start_blocks``: the start rows, or one start point per set."""
+    family, start = inputs["family"], inputs["start"]
+    if family is not None and start is not None:
+        blocks = np.tile(start, (family.m, 1)) if start.ndim == 1 else start
+        _check_block_shape("start", blocks, family, errors)
+        inputs["start_blocks"] = blocks
+
+
+def _check_objective(inputs, errors):
+    _check_blocks(inputs, errors)
+    family, objective = inputs["family"], inputs["objective"]
+    if family is not None and objective is not None and objective[1] is not None:
+        _check_block_shape("objective.target", objective[1], family, errors)
+
+
+def _check_variant(inputs, errors):
+    _check_blocks(inputs, errors)
+    family = inputs["family"]
+    if inputs["variant"] == "others_mean" and family is not None and family.m < 3:
+        errors.append("variant others_mean needs at least three sets")
+
+
+def _check_spiral(inputs, errors):
+    x, y = inputs["x"], inputs["y"]
+    if x is not None and y is not None and x.shape[0] != y.shape[0]:
+        errors.append("x and y must share dimension")
+
+
+def _check_falsify(inputs, errors):
+    rho, z = inputs["rho"], inputs["z"]
+    if rho is not None and not rho > 1.0:
+        errors.append("rho must exceed 1")
+    if z is not None and abs(float(np.linalg.norm(z)) - 1.0) > UNIT_NORM_TOL:
+        errors.append("z must be a unit vector")
+
+
+# Runners: run(config) returns (exit code, JSON payload, CSV writer taking
+# a path or an open file, or None).  They look the solvers and writers up
+# by module name when called, so a wrapper installed on this module sees
+# every call.
+
+
+def _periodic_result(trajectory, cycle, dim):
+    payload = cycle.to_dict(trajectory.sweeps_used, trajectory.stop_reason)
+    return 0, payload, lambda out: write_trajectory_csv(trajectory, dim, out)
+
+
+def _product_result(solution):
+    return 0, solution.to_dict(), lambda out: write_iteration_csv(solution.log, out)
+
+
+def _not_converged(exc: NotConverged, config):
+    """Exit code 2 with the payload and CSV writer of the failed run's last state."""
+    diag = exc.diagnostics
+    if "solution" in diag:
+        _, payload, write_csv = _product_result(diag["solution"])
+    else:
+        _, payload, write_csv = _periodic_result(diag["trajectory"], diag["cycle"], config.family.dim)
+    payload["error"] = str(exc)
+    return 2, payload, write_csv
+
+
+def _run_periodic(config):
+    trajectory, cycle = run_periodic(config.family, config.start, config.solver)
+    return _periodic_result(trajectory, cycle, config.family.dim)
+
+
+def _run_pair_distance(config):
+    code, payload, write_csv = _run_periodic(config)
+    payload["distance"] = float(np.linalg.norm(np.subtract(*payload["points"])))
+    return code, payload, write_csv
+
+
+def _run_projected_gradient(config):
+    kind, target = config.objective
+    if kind == "quadratic_to_target":
+        objective = QuadraticToTarget(target)
+    else:
+        objective = OBJECTIVES[kind](config.family.m)
+    return _product_result(
+        solve_projected_gradient(config.family, objective, config.start_blocks, config.solver)
+    )
+
+
+def _run_parallel(config):
+    return _product_result(
+        solve_parallel(config.family, config.start_blocks, config.solver, variant=config.variant)
+    )
+
+
+def _run_spiral(config):
+    spec = SpiralSpec(target=config.x, start=config.y, n=config.n, plane=config.plane)
+    points, final_norm = spiral(spec)
+    payload = {
+        "alpha": float(spec.alpha),
+        "n": spec.n,
+        "start_norm": float(np.linalg.norm(points[0])),
+        "final_norm": final_norm,
+    }
+    return 0, payload, lambda out: write_spiral_csv(points, out)
+
+
+def _run_falsify(config):
+    report = falsify_candidate(
+        BUILTIN_CANDIDATES[config.candidate],
+        config.m,
+        config.z,
+        config.rho,
+        config.sphere_samples,
+        rng=np.random.default_rng(config.seed),
+    )
+    return (0 if report.verdict == VERDICT_FALSIFIED else 2), report.to_dict(), None
+
+
+def _run_gap(config):
+    exhibit = candidate_gap(config.family, config.candidate_kind, config.start, config.solver)
+    return 0, exhibit.to_dict(), None
+
+
+@dataclass(frozen=True)
+class _Kind:
+    keys: dict  # config key -> (parser, default), or (parser, _REQUIRED)
+    check: Callable
+    run: Callable
+    csv: bool = True
+
+
+_REQUIRED = object()
+_POINT = (_as_point, _REQUIRED)
+_FAMILY_START = {"family": (_build_family, _REQUIRED), "start": _POINT}
+_FAMILY_BLOCKS = {"family": (_build_family, _REQUIRED), "start": (_as_start, _REQUIRED)}
+
+_COMMON_KEYS = {
+    "solver": (_build_solver, SolverConfig()),
+    "output": (_output, (None, None)),
+    "seed": (_integer(0), 0),
+}
+
+_KINDS = {
+    "periodic": _Kind(_FAMILY_START, _check_start, _run_periodic),
+    "pair_distance": _Kind(_FAMILY_START, _check_pair, _run_pair_distance),
+    "projected_gradient": _Kind(
+        {**_FAMILY_BLOCKS, "objective": (_objective, _REQUIRED)},
+        _check_objective,
+        _run_projected_gradient,
+    ),
+    "parallel": _Kind(
+        {**_FAMILY_BLOCKS, "variant": (_choice(PARALLEL_VARIANTS), "others_mean")},
+        _check_variant,
+        _run_parallel,
+    ),
+    "spiral": _Kind(
+        {"x": _POINT, "y": _POINT, "n": (_integer(1), _REQUIRED), "plane": (_as_point, None)},
+        _check_spiral,
+        _run_spiral,
+    ),
+    "falsify": _Kind(
+        {
+            "candidate": (_choice(sorted(BUILTIN_CANDIDATES)), _REQUIRED),
+            "m": (_integer(3), _REQUIRED),
+            "rho": (_real, _REQUIRED),
+            "z": (_as_point, (1.0, 0.0)),
+            "sphere_samples": (_integer(2), 16),
+        },
+        _check_falsify,
+        _run_falsify,
+        csv=False,
+    ),
+    "gap": _Kind(
+        {**_FAMILY_START, "candidate_kind": (_choice(OBJECTIVES), _REQUIRED)},
+        _check_start,
+        _run_gap,
+        csv=False,
+    ),
+}
+KINDS = tuple(_KINDS)
 
 
 def validate_config(raw) -> ExperimentConfig:
@@ -168,306 +428,76 @@ def validate_config(raw) -> ExperimentConfig:
     json.JSONDecodeError on malformed text and ConfigValidation (with the
     full error list) on semantic problems.
     """
-    if isinstance(raw, str):
-        data = json.loads(raw)
-    else:
-        data = raw
+    data = json.loads(raw) if isinstance(raw, str) else raw
     if not isinstance(data, dict):
         raise ConfigValidation(["config must be a JSON object"])
-
-    errors: list[str] = []
     kind = data.get("kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigValidation([f"kind must be one of {', '.join(KINDS)} (got {kind!r})"])
 
-    allowed = _COMMON_KEYS | _KIND_KEYS[kind]
-    for key in sorted(set(data) - allowed):
-        errors.append(f"{key} is not used by kind {kind}")
-
-    solver = _build_solver(data.get("solver", {}), errors)
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int):
-        errors.append("seed must be an integer")
-        seed = 0
-
-    out_csv = out_json = None
-    output = data.get("output", {})
-    if output and not isinstance(output, dict):
-        errors.append("output must be an object with optional csv/json paths")
-    elif isinstance(output, dict):
-        for key in sorted(set(output) - {"csv", "json"}):
-            errors.append(f"output.{key} is not recognized (use csv/json)")
-        out_csv = output.get("csv")
-        out_json = output.get("json")
-
-    cfg = ExperimentConfig(kind=kind, solver=solver, seed=seed, out_csv=out_csv, out_json=out_json)
-
-    def require(key):
-        if key not in data:
+    keys = {**_COMMON_KEYS, **_KINDS[kind].keys}
+    errors = [f"{key} is not used by kind {kind}" for key in sorted(set(data) - set(keys) - {"kind"})]
+    inputs = {}
+    for key, (parse, default) in keys.items():
+        if key in data:
+            inputs[key] = parse(data[key], errors, key)
+        elif default is _REQUIRED:
             errors.append(f"{key} is required for kind {kind}")
-            return False
-        return True
-
-    if kind in ("periodic", "pair_distance", "parallel", "projected_gradient", "gap"):
-        if require("family"):
-            cfg.family = _build_family(data["family"], errors)
-        if kind == "pair_distance" and cfg.family is not None and cfg.family.m != 2:
-            errors.append(f"pair_distance needs exactly 2 sets, family has {cfg.family.m}")
-
-    if kind in ("periodic", "pair_distance", "gap"):
-        if require("start"):
-            cfg.start = _as_point(data["start"], errors, "start")
-        if cfg.start is not None and cfg.family is not None and cfg.start.shape[0] != cfg.family.dim:
-            errors.append(
-                f"start has dimension {cfg.start.shape[0]}, family expects {cfg.family.dim}"
-            )
-
-    if kind in ("projected_gradient", "parallel"):
-        if require("start"):
-            start = data["start"]
-            blocks = None
-            if isinstance(start, list) and start and isinstance(start[0], list):
-                rows = [_as_point(row, errors, f"start[{i}]") for i, row in enumerate(start)]
-                if all(r is not None for r in rows):
-                    if len({r.shape[0] for r in rows}) > 1:
-                        errors.append("start blocks must share dimension")
-                    else:
-                        blocks = np.stack(rows)
-            else:
-                point = _as_point(start, errors, "start")
-                if point is not None and cfg.family is not None:
-                    blocks = np.tile(point, (cfg.family.m, 1))
-            if blocks is not None and cfg.family is not None:
-                if blocks.shape[0] != cfg.family.m:
-                    errors.append(
-                        f"start has {blocks.shape[0]} blocks, family has {cfg.family.m} sets"
-                    )
-                elif blocks.shape[1] != cfg.family.dim:
-                    errors.append(
-                        f"start blocks have dimension {blocks.shape[1]}, "
-                        f"family expects {cfg.family.dim}"
-                    )
-            cfg.start_blocks = blocks
-
-    if kind == "projected_gradient":
-        obj = data.get("objective")
-        if not require("objective"):
-            pass
-        elif not isinstance(obj, dict) or obj.get("kind") not in _OBJECTIVE_KINDS:
-            errors.append(f"objective.kind must be one of {', '.join(_OBJECTIVE_KINDS)}")
+            inputs[key] = None
         else:
-            cfg.objective_kind = obj["kind"]
-            if obj["kind"] == "quadratic_to_target":
-                target = obj.get("target")
-                if target is None:
-                    errors.append("objective.target is required for quadratic_to_target")
-                else:
-                    rows = [
-                        _as_point(row, errors, f"objective.target[{i}]")
-                        for i, row in enumerate(target)
-                    ]
-                    if all(r is not None for r in rows):
-                        cfg.objective_target = np.stack(rows)
-            extra = set(obj) - {"kind", "target"}
-            for key in sorted(extra):
-                errors.append(f"objective.{key} is not recognized")
-
-    if kind == "parallel":
-        cfg.variant = data.get("variant", "others_mean")
-        if cfg.variant not in ("others_mean", "full_mean"):
-            errors.append("variant must be others_mean or full_mean")
-        elif cfg.variant == "others_mean" and cfg.family is not None and cfg.family.m < 3:
-            errors.append("variant others_mean needs at least three sets")
-
-    if kind == "spiral":
-        if require("x"):
-            cfg.spiral_target = _as_point(data["x"], errors, "x")
-        if require("y"):
-            cfg.spiral_start = _as_point(data["y"], errors, "y")
-        if require("n"):
-            n = data["n"]
-            if not isinstance(n, int) or n < 1:
-                errors.append("n must be an integer >= 1")
-            else:
-                cfg.spiral_n = n
-        if "plane" in data:
-            cfg.spiral_plane = _as_point(data["plane"], errors, "plane")
-        if (
-            cfg.spiral_target is not None
-            and cfg.spiral_start is not None
-            and cfg.spiral_target.shape[0] != cfg.spiral_start.shape[0]
-        ):
-            errors.append("x and y must share dimension")
-
-    if kind == "falsify":
-        if require("candidate"):
-            cfg.candidate = data["candidate"]
-            if cfg.candidate not in BUILTIN_CANDIDATES:
-                errors.append(
-                    f"candidate must be one of {', '.join(sorted(BUILTIN_CANDIDATES))}"
-                )
-        if require("m"):
-            m = data["m"]
-            if not isinstance(m, int) or m < 3:
-                errors.append("m must be an integer >= 3")
-            else:
-                cfg.tuple_size = m
-        if require("rho"):
-            rho = data["rho"]
-            if not isinstance(rho, (int, float)) or not rho > 1.0:
-                errors.append("rho must exceed 1")
-            else:
-                cfg.rho = float(rho)
-        z = data.get("z", [1.0, 0.0])
-        cfg.unit_direction = _as_point(z, errors, "z")
-        if cfg.unit_direction is not None and abs(
-            float(np.linalg.norm(cfg.unit_direction)) - 1.0
-        ) > 1e-12:
-            errors.append("z must be a unit vector")
-        samples = data.get("sphere_samples", 16)
-        if not isinstance(samples, int) or samples < 2:
-            errors.append("sphere_samples must be an integer >= 2")
-        else:
-            cfg.sphere_samples = samples
-
-    if kind == "gap":
-        if require("candidate_kind"):
-            cfg.candidate_kind = data["candidate_kind"]
-            if cfg.candidate_kind not in ("pairwise2", "cyclic2"):
-                errors.append("candidate_kind must be pairwise2 or cyclic2")
-
+            inputs[key] = default
+    _KINDS[kind].check(inputs, errors)
     if errors:
         raise ConfigValidation(errors)
-    return cfg
+    out_csv, out_json = inputs.pop("output")
+    return ExperimentConfig(kind, inputs.pop("solver"), inputs.pop("seed"), out_csv, out_json, inputs)
 
 
 def _json_dump(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _out_paths(config: ExperimentConfig, out_dir, want_csv=True, want_json=True):
+def _out_paths(config: ExperimentConfig, out_dir):
     base = Path(out_dir) if out_dir is not None else Path(".")
     base.mkdir(parents=True, exist_ok=True)
 
-    def resolve(explicit, default):
+    def resolve(explicit, suffix):
         if explicit is None:
-            return base / default
+            return base / f"{config.kind}.{suffix}"
         p = Path(explicit)
         return p if p.is_absolute() else base / p
 
-    csv_path = resolve(config.out_csv, f"{config.kind}.csv") if want_csv else None
-    json_path = resolve(config.out_json, f"{config.kind}.json") if want_json else None
-    return csv_path, json_path
+    return resolve(config.out_csv, "csv"), resolve(config.out_json, "json")
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> int:
-    """Dispatch a validated config, write its artifacts, return the exit code."""
-    kind = config.kind
-    want_csv = kind not in ("falsify", "gap")
-    csv_path, json_path = _out_paths(config, out_dir, want_csv=want_csv)
+    """Run a validated config, write its artifacts, return the exit code.
 
+    A run that does not converge still writes its last state, with exit
+    code 2.
+    """
+    kind = _KINDS[config.kind]
     try:
-        if kind == "periodic":
-            trajectory, cycle = run_periodic(config.family, config.start, config.solver)
-            write_trajectory_csv(trajectory, config.family.dim, csv_path)
-            _json_dump(cycle.to_dict(trajectory.sweeps_used, trajectory.stop_reason), json_path)
-
-        elif kind == "pair_distance":
-            trajectory, cycle = run_periodic(config.family, config.start, config.solver)
-            y1, y2 = cycle.points
-            distance = float(np.linalg.norm(y1 - y2))
-            write_trajectory_csv(trajectory, config.family.dim, csv_path)
-            payload = cycle.to_dict(trajectory.sweeps_used, trajectory.stop_reason)
-            payload["distance"] = distance
-            _json_dump(payload, json_path)
-
-        elif kind == "projected_gradient":
-            obj = _make_objective(config)
-            solution = solve_projected_gradient(
-                config.family, obj, config.start_blocks, config.solver
-            )
-            write_iteration_csv(solution.log, csv_path)
-            _json_dump(solution.to_dict(), json_path)
-
-        elif kind == "parallel":
-            solution = solve_parallel(
-                config.family, config.start_blocks, config.solver, variant=config.variant
-            )
-            write_iteration_csv(solution.log, csv_path)
-            _json_dump(solution.to_dict(), json_path)
-
-        elif kind == "spiral":
-            spec = SpiralSpec(
-                target=config.spiral_target,
-                start=config.spiral_start,
-                n=config.spiral_n,
-                plane=config.spiral_plane,
-            )
-            points, final_norm = spiral(spec)
-            write_spiral_csv(points, csv_path)
-            _json_dump(
-                {
-                    "alpha": float(spec.alpha),
-                    "n": spec.n,
-                    "start_norm": float(np.linalg.norm(points[0])),
-                    "final_norm": final_norm,
-                },
-                json_path,
-            )
-
-        elif kind == "falsify":
-            rng = np.random.default_rng(config.seed)
-            report = falsify_candidate(
-                BUILTIN_CANDIDATES[config.candidate],
-                config.tuple_size,
-                config.unit_direction,
-                config.rho,
-                config.sphere_samples,
-                rng=rng,
-            )
-            _json_dump(report.to_dict(), json_path)
-            if report.verdict != VERDICT_FALSIFIED:
-                return 2
-
-        else:  # gap
-            exhibit = candidate_gap(
-                config.family, config.candidate_kind, config.start, config.solver
-            )
-            _json_dump(exhibit.to_dict(), json_path)
-
+        code, payload, write_csv = kind.run(config)
     except NotConverged as exc:
-        _emit_diagnostics(exc, config, csv_path, json_path)
         print(f"not converged: {exc}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _make_objective(config: ExperimentConfig):
-    if config.objective_kind == "pairwise2":
-        return PairwiseSquared(config.family.m)
-    if config.objective_kind == "cyclic2":
-        return CyclicSquared(config.family.m)
-    return QuadraticToTarget(config.objective_target)
-
-
-def _emit_diagnostics(exc: NotConverged, config, csv_path, json_path) -> None:
-    payload = {"error": str(exc), "stop_reason": "max_iterations"}
-    diag = exc.diagnostics
-    if "trajectory" in diag and csv_path is not None:
-        write_trajectory_csv(diag["trajectory"], config.family.dim, csv_path)
-    if "cycle" in diag and "trajectory" in diag:
-        payload.update(
-            diag["cycle"].to_dict(diag["trajectory"].sweeps_used, diag["trajectory"].stop_reason)
-        )
-        payload["error"] = str(exc)
-    if "solution" in diag:
-        solution = diag["solution"]
-        if csv_path is not None:
-            write_iteration_csv(solution.log, csv_path)
-        payload.update(solution.to_dict())
-        payload["error"] = str(exc)
-    if json_path is not None:
+        code, payload, write_csv = _not_converged(exc, config)
+    except _RUN_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    try:
+        csv_path, json_path = _out_paths(config, out_dir)
+        if kind.csv:
+            write_csv(csv_path)
         _json_dump(payload, json_path)
+    except OSError as exc:
+        return _cannot_write(exc)
+    return code
+
+
+def _cannot_write(exc: OSError) -> int:
+    print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+    return 1
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -477,30 +507,26 @@ def _parse_point(text: str) -> np.ndarray:
         raise ConfigValidation([f"could not parse point {text!r}: {exc}"]) from exc
 
 
-def _format_point(p) -> str:
-    return ",".join(repr(float(c)) for c in p)
-
-
 def _cmd_run(args) -> int:
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 1
-    try:
-        config = validate_config(text)
+        data = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
         print(
             f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}",
             file=sys.stderr,
         )
         return 1
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes
+        print(f"cannot read config: {exc}", file=sys.stderr)
+        return 1
+    if args.seed is not None and isinstance(data, dict):
+        data["seed"] = args.seed
+    try:
+        config = validate_config(data)
     except ConfigValidation as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        config.seed = args.seed
     return run_experiment(config, out_dir=args.out_dir)
 
 
@@ -512,48 +538,52 @@ def _cmd_project(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"set descriptor parse error: {exc.msg}", file=sys.stderr)
         return 1
-    except (CyclexError, ValueError) as exc:
+    except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(_format_point(result))
+    print(",".join(repr(float(c)) for c in result))
     return 0
 
 
 def _cmd_spiral(args) -> int:
     try:
-        spec = SpiralSpec(
-            target=_parse_point(args.x),
-            start=_parse_point(args.y),
-            n=args.n,
-            plane=_parse_point(args.plane) if args.plane else None,
-        )
-        points, final_norm = spiral(spec)
-    except (CyclexError, ValueError) as exc:
+        data = {"kind": "spiral", "x": _parse_point(args.x), "y": _parse_point(args.y), "n": args.n}
+        if args.plane:
+            data["plane"] = _parse_point(args.plane)
+        code, payload, write_csv = _KINDS["spiral"].run(validate_config(data))
+        write_csv(args.out or sys.stdout)
+    except _RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_spiral_csv(points, args.out or sys.stdout)
-    print(f"final_norm={final_norm!r}", file=sys.stderr)
-    return 0
+    except OSError as exc:
+        return _cannot_write(exc)
+    print(f"final_norm={payload['final_norm']!r}", file=sys.stderr)
+    return code
 
 
 def _cmd_falsify(args) -> int:
     try:
-        report = falsify_candidate(
-            BUILTIN_CANDIDATES[args.candidate],
-            args.m,
-            _parse_point(args.z),
-            args.rho,
-            args.sphere_samples,
-            rng=np.random.default_rng(args.seed),
-        )
-    except (CyclexError, ValueError) as exc:
+        data = {
+            "kind": "falsify",
+            "candidate": args.candidate,
+            "m": args.m,
+            "rho": args.rho,
+            "z": _parse_point(args.z),
+            "sphere_samples": args.sphere_samples,
+            "seed": args.seed,
+        }
+        code, payload, _ = _KINDS["falsify"].run(validate_config(data))
+    except _RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n")
-    return 0 if report.verdict == VERDICT_FALSIFIED else 2
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            return _cannot_write(exc)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -599,7 +629,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
+        return exc.code
     return args.func(args)
 
 

@@ -2,19 +2,24 @@
 
 Points are plain 1-D float64 numpy arrays.  Every set variant stores its
 defining data read-only and exposes ``project``, a membership ``sample``
-used by probe-style tests, and a JSON ``descriptor`` round-trip.
+used by probe-style tests, and a JSON ``descriptor`` round-trip built
+from its dataclass fields; ``from_descriptor`` finds the class by the
+descriptor's ``type`` in one registry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DimensionMismatch, EllipsoidNewtonFailure
 
 ORTHONORMAL_TOL = 1e-12
+
+_TINY = sys.float_info.min  # smallest positive normal float
 
 _SECULAR_TOL = 1e-13
 _SECULAR_MAX_ITER = 200
@@ -65,8 +70,16 @@ class ConvexSet:
         raise NotImplementedError
 
     def descriptor(self) -> dict:
-        """JSON-serializable descriptor, inverse of :func:`from_descriptor`."""
-        raise NotImplementedError
+        """JSON-serializable descriptor, inverse of :func:`from_descriptor`.
+
+        The set's type name plus one entry per dataclass field: arrays as
+        nested lists, scalars (``radius``, ``offset``) as floats.
+        """
+        desc = {"type": _TYPE_NAMES[type(self)]}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            desc[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return desc
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,9 +102,6 @@ class Singleton(ConvexSet):
 
     def sample(self, rng):
         return self.point.copy()
-
-    def descriptor(self):
-        return {"type": "singleton", "point": self.point.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,9 +140,6 @@ class Segment(ConvexSet):
         t = rng.random()
         return self.a + t * (self.b - self.a)
 
-    def descriptor(self):
-        return {"type": "segment", "a": self.a.tolist(), "b": self.b.tolist()}
-
 
 @dataclass(frozen=True, eq=False)
 class Ray(ConvexSet):
@@ -160,9 +167,6 @@ class Ray(ConvexSet):
 
     def sample(self, rng):
         return (10.0 * rng.random()) * self.direction
-
-    def descriptor(self):
-        return {"type": "ray", "direction": self.direction.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,9 +206,6 @@ class Ball(ConvexSet):
         r = self.radius * rng.random() ** (1.0 / self.dim)
         return self.center + (r / nu) * u
 
-    def descriptor(self):
-        return {"type": "ball", "center": self.center.tolist(), "radius": self.radius}
-
 
 @dataclass(frozen=True, eq=False)
 class Box(ConvexSet):
@@ -233,9 +234,6 @@ class Box(ConvexSet):
     def sample(self, rng):
         return self.lower + rng.random(self.dim) * (self.upper - self.lower)
 
-    def descriptor(self):
-        return {"type": "box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}
-
 
 @dataclass(frozen=True, eq=False)
 class Halfspace(ConvexSet):
@@ -247,7 +245,7 @@ class Halfspace(ConvexSet):
     def __post_init__(self):
         object.__setattr__(self, "normal", _frozen(self.normal, "normal"))
         object.__setattr__(self, "offset", float(self.offset))
-        if float(self.normal @ self.normal) == 0.0:
+        if not np.any(self.normal != 0.0):
             raise ValueError("normal must be nonzero")
         if not math.isfinite(self.offset):
             raise ValueError("offset must be finite")
@@ -259,21 +257,26 @@ class Halfspace(ConvexSet):
     bounded = False
 
     def _project(self, x):
-        s = float(self.normal @ x) - self.offset
+        u = self.normal
+        s = float(u @ x) - self.offset
         if s <= 0.0:
             return x.copy()
-        return x - (s / float(self.normal @ self.normal)) * self.normal
+        uu = float(u @ u)
+        if not (_TINY <= uu < math.inf and math.isfinite(s)):
+            # u @ u or s overflowed, or u @ u lost precision below the normal
+            # range: scale u to a largest coordinate of 1 (and the offset with it)
+            scale = float(np.max(np.abs(u)))
+            u = u / scale
+            s = float(u @ x) - self.offset / scale
+            if s <= 0.0:
+                return x.copy()
+            uu = float(u @ u)
+        return x - (s / uu) * u
 
     def sample(self, rng):
         g = 5.0 * rng.standard_normal(self.dim)
-        s = float(self.normal @ g) - self.offset
-        if s <= 0.0:
-            return g
-        # reflect across the boundary to land strictly inside
-        return g - (2.0 * s / float(self.normal @ self.normal)) * self.normal
-
-    def descriptor(self):
-        return {"type": "halfspace", "normal": self.normal.tolist(), "offset": self.offset}
+        # a point outside is reflected across the boundary to land inside
+        return 2.0 * self._project(g) - g
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,9 +320,6 @@ class AffineSubspace(ConvexSet):
     def sample(self, rng):
         t = 5.0 * rng.standard_normal(self.basis.shape[0])
         return self.anchor + self.basis.T @ t
-
-    def descriptor(self):
-        return {"type": "affine", "anchor": self.anchor.tolist(), "basis": self.basis.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,9 +393,6 @@ class Ellipsoid(ConvexSet):
         r = rng.random() ** (1.0 / self.dim)
         return self.center + self.axes * (r / nu) * u
 
-    def descriptor(self):
-        return {"type": "ellipsoid", "center": self.center.tolist(), "axes": self.axes.tolist()}
-
 
 @dataclass(frozen=True, eq=False)
 class Family:
@@ -445,44 +442,33 @@ def contains(s: ConvexSet, x, tol: float) -> bool:
     return float(np.linalg.norm(x - s.project(x))) <= tol
 
 
-_DESCRIPTOR_FIELDS = {
-    "singleton": ("point",),
-    "segment": ("a", "b"),
-    "ray": ("direction",),
-    "ball": ("center", "radius"),
-    "box": ("lower", "upper"),
-    "halfspace": ("normal", "offset"),
-    "affine": ("anchor", "basis"),
-    "ellipsoid": ("center", "axes"),
+_SET_TYPES = {
+    "singleton": Singleton,
+    "segment": Segment,
+    "ray": Ray,
+    "ball": Ball,
+    "box": Box,
+    "halfspace": Halfspace,
+    "affine": AffineSubspace,
+    "ellipsoid": Ellipsoid,
 }
+_TYPE_NAMES = {cls: name for name, cls in _SET_TYPES.items()}
 
 
 def from_descriptor(desc: dict) -> ConvexSet:
-    """Build a set from its JSON descriptor (see each variant's ``descriptor``)."""
+    """Build a set from its JSON descriptor (see ``ConvexSet.descriptor``)."""
     if not isinstance(desc, dict):
         raise ValueError("set descriptor must be a JSON object")
     kind = desc.get("type")
-    if kind not in _DESCRIPTOR_FIELDS:
-        known = ", ".join(sorted(_DESCRIPTOR_FIELDS))
+    cls = _SET_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        known = ", ".join(sorted(_SET_TYPES))
         raise ValueError(f"unknown set type {kind!r} (known: {known})")
-    missing = [f for f in _DESCRIPTOR_FIELDS[kind] if f not in desc]
+    names = [f.name for f in fields(cls)]
+    missing = [name for name in names if name not in desc]
     if missing:
         raise ValueError(f"{kind} descriptor missing fields: {', '.join(missing)}")
-    extra = set(desc) - set(_DESCRIPTOR_FIELDS[kind]) - {"type"}
+    extra = set(desc) - set(names) - {"type"}
     if extra:
         raise ValueError(f"{kind} descriptor has unknown fields: {', '.join(sorted(extra))}")
-    if kind == "singleton":
-        return Singleton(desc["point"])
-    if kind == "segment":
-        return Segment(desc["a"], desc["b"])
-    if kind == "ray":
-        return Ray(desc["direction"])
-    if kind == "ball":
-        return Ball(desc["center"], desc["radius"])
-    if kind == "box":
-        return Box(desc["lower"], desc["upper"])
-    if kind == "halfspace":
-        return Halfspace(desc["normal"], desc["offset"])
-    if kind == "affine":
-        return AffineSubspace(desc["anchor"], desc["basis"])
-    return Ellipsoid(desc["center"], desc["axes"])
+    return cls(**{name: desc[name] for name in names})

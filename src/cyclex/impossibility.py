@@ -29,7 +29,7 @@ from .errors import (
     InvalidUnitVector,
 )
 from .geometry import Family, Segment, Singleton, as_vector
-from .product import CyclicSquared, PairwiseSquared, as_product_point, solve_projected_gradient
+from .product import OBJECTIVES, as_product_point, solve_projected_gradient
 from .sweep import Cycle, run_periodic
 
 _COLLINEAR_RTOL = 1e-12
@@ -241,8 +241,10 @@ def _perimeter(y):
 
 BUILTIN_CANDIDATES = {
     "perimeter": CandidateFunctional(_perimeter, "perimeter"),
-    "cyclic2": CandidateFunctional(lambda y: CyclicSquared(len(y)).value(y), "cyclic2"),
-    "pairwise2": CandidateFunctional(lambda y: PairwiseSquared(len(y)).value(y), "pairwise2"),
+    **{
+        name: CandidateFunctional(lambda y, objective=objective: objective(len(y)).value(y), name)
+        for name, objective in OBJECTIVES.items()
+    },
     "constant": CandidateFunctional(lambda y: 0.0, "constant"),
     "tuple_norm": CandidateFunctional(lambda y: float(np.linalg.norm(y)), "tuple_norm"),
 }
@@ -345,9 +347,6 @@ def falsify_candidate(
     )
 
 
-_GAP_OBJECTIVES = {"pairwise2": PairwiseSquared, "cyclic2": CyclicSquared}
-
-
 @dataclass(frozen=True)
 class GapExhibit:
     """Periodic cycle vs. constrained minimizer of a smooth candidate."""
@@ -379,12 +378,12 @@ def candidate_gap(family: Family, candidate_kind: str, x0, cfg: Optional[SolverC
     positive displacement exhibits that the cycle does not minimize the
     candidate.
     """
-    if candidate_kind not in _GAP_OBJECTIVES:
-        raise ValueError(f"candidate_kind must be one of {sorted(_GAP_OBJECTIVES)}")
+    if candidate_kind not in OBJECTIVES:
+        raise ValueError(f"candidate_kind must be one of {sorted(OBJECTIVES)}")
     cfg = cfg if cfg is not None else SolverConfig()
     x0 = as_vector(x0, family.dim)
     _, cycle = run_periodic(family, x0, cfg)
-    obj = _GAP_OBJECTIVES[candidate_kind](family.m)
+    obj = OBJECTIVES[candidate_kind](family.m)
     start = np.tile(x0, (family.m, 1))
     solution = solve_projected_gradient(family, obj, start, cfg)
     cyc_blocks = np.stack(cycle.points)

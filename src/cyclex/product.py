@@ -8,7 +8,7 @@ the product set C_1 x ... x C_m whose projection acts blockwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -17,7 +17,12 @@ from .config import SolverConfig
 from .errors import BlockCountMismatch, DimensionMismatch, InvalidStepSize, NotConverged, TooFewSets
 from .geometry import Family, as_vector
 
-PARALLEL_VARIANTS = ("others_mean", "full_mean")
+# the point each block of a parallel sweep projects, by variant
+_PARALLEL_TARGETS = {
+    "others_mean": lambda x: (x.sum(axis=0) - x) / (len(x) - 1.0),
+    "full_mean": lambda x: np.broadcast_to(x.sum(axis=0) / len(x), x.shape),
+}
+PARALLEL_VARIANTS = tuple(_PARALLEL_TARGETS)
 
 
 def as_product_point(blocks, m: Optional[int] = None, dim: Optional[int] = None) -> np.ndarray:
@@ -98,6 +103,10 @@ class CyclicSquared:
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
         return 2.0 * (2.0 * y - np.roll(y, 1, axis=0) - np.roll(y, -1, axis=0))
+
+
+# the smooth candidate objectives, by name; each is built from the block count m
+OBJECTIVES = {"pairwise2": PairwiseSquared, "cyclic2": CyclicSquared}
 
 
 class QuadraticToTarget:
@@ -209,18 +218,8 @@ def solve_projected_gradient(family: Family, obj, x0, cfg: Optional[SolverConfig
             stop_reason = "converged"
             break
 
-    solution = _certify(family, x, obj, gamma, iterations, stop_reason, log)
-    if stop_reason == "converged" and (
-        solution.membership > cfg.cycle_tol or solution.stationarity > cfg.fixpoint_tol
-    ):
-        solution = replace(solution, stop_reason="certificate_failed")
-    if solution.stop_reason != "converged":
-        raise NotConverged(
-            f"projected-gradient run stopped after {iterations} iterations "
-            f"(stop_reason={solution.stop_reason}, stationarity={solution.stationarity:.3e})",
-            solution=solution,
-        )
-    return solution
+    target = x - gamma * obj.gradient(x)
+    return _certify(family, x, target, obj, cfg, iterations, stop_reason, log, "projected-gradient")
 
 
 def solve_parallel(family: Family, x0, cfg: Optional[SolverConfig] = None, variant: str = "others_mean"):
@@ -230,7 +229,9 @@ def solve_parallel(family: Family, x0, cfg: Optional[SolverConfig] = None, varia
     blocks) and needs m >= 3; "full_mean" iterates x_{i,n+1} = P_i(mean of
     all blocks) and works for m >= 2.  The limit tuple minimizes the sum
     of squared pairwise distances over the product of the sets, and the
-    block average of the limit is the returned fair point.
+    block average of the limit is the returned fair point.  Raises
+    NotConverged (solution attached) when the budget runs out or the limit
+    fails the certificate that solve_projected_gradient also applies.
     """
     if variant not in PARALLEL_VARIANTS:
         raise ValueError(f"variant must be one of {PARALLEL_VARIANTS}")
@@ -239,18 +240,14 @@ def solve_parallel(family: Family, x0, cfg: Optional[SolverConfig] = None, varia
         raise TooFewSets("others_mean needs at least three sets")
     cfg = cfg if cfg is not None else SolverConfig()
     x = as_product_point(x0, m=m, dim=family.dim).copy()
+    target_of = _PARALLEL_TARGETS[variant]
     pairwise = PairwiseSquared(m)
 
     log = [IterationRecord(0, pairwise.value(x), math.nan, math.nan, x.copy())]
     stop_reason = "max_iterations"
     iterations = 0
     for n in range(cfg.max_iters):
-        s = x.sum(axis=0)
-        if variant == "others_mean":
-            target = (s - x) / (m - 1.0)
-        else:
-            target = np.broadcast_to(s / m, x.shape)
-        proj = project_blocks(family, target)
+        proj = project_blocks(family, target_of(x))
         stationarity = float(np.max(np.linalg.norm(proj - x, axis=1)))
         displacement = float(np.linalg.norm(proj - x))
         x = proj
@@ -260,37 +257,24 @@ def solve_parallel(family: Family, x0, cfg: Optional[SolverConfig] = None, varia
             stop_reason = "converged"
             break
 
-    s = x.sum(axis=0)
-    target = (s - x) / (m - 1.0) if variant == "others_mean" else np.broadcast_to(s / m, x.shape)
+    return _certify(family, x, target_of(x), pairwise, cfg, iterations, stop_reason, log, "parallel")
+
+
+def _certify(family, x, target, obj, cfg, iterations, stop_reason, log, label) -> ProductSolution:
+    """Certify the limit tuple ``x`` of a product-space run.
+
+    ``target`` is the point the solver's map projects blockwise, so the
+    stationarity residual max_i ||P_i(target_i) - x_i|| vanishes at a fixed
+    point; membership is max_i ||P_i(x_i) - x_i||.  A converged run whose
+    membership exceeds cfg.cycle_tol or whose stationarity exceeds
+    cfg.fixpoint_tol becomes "certificate_failed".  Returns the solution
+    when converged and certified, else raises NotConverged with it attached.
+    """
     stationarity = float(np.max(np.linalg.norm(project_blocks(family, target) - x, axis=1)))
     membership = float(np.max(np.linalg.norm(project_blocks(family, x) - x, axis=1)))
-    if stop_reason == "converged" and stationarity > cfg.fixpoint_tol:
+    if stop_reason == "converged" and (membership > cfg.cycle_tol or stationarity > cfg.fixpoint_tol):
         stop_reason = "certificate_failed"
     solution = ProductSolution(
-        blocks=x,
-        fair_point=x.mean(axis=0),
-        objective=pairwise.value(x),
-        stationarity=stationarity,
-        membership=membership,
-        iterations=iterations,
-        stop_reason=stop_reason,
-        log=tuple(log),
-    )
-    if stop_reason != "converged":
-        raise NotConverged(
-            f"parallel run stopped after {iterations} iterations "
-            f"(stop_reason={stop_reason}, stationarity={solution.stationarity:.3e})",
-            solution=solution,
-        )
-    return solution
-
-
-def _certify(family, x, obj, gamma, iterations, stop_reason, log) -> ProductSolution:
-    grad = obj.gradient(x)
-    proj = project_blocks(family, x - gamma * grad)
-    stationarity = float(np.max(np.linalg.norm(proj - x, axis=1)))
-    membership = float(np.max(np.linalg.norm(project_blocks(family, x) - x, axis=1)))
-    return ProductSolution(
         blocks=x,
         fair_point=x.mean(axis=0),
         objective=obj.value(x),
@@ -300,6 +284,13 @@ def _certify(family, x, obj, gamma, iterations, stop_reason, log) -> ProductSolu
         stop_reason=stop_reason,
         log=tuple(log),
     )
+    if stop_reason != "converged":
+        raise NotConverged(
+            f"{label} run stopped after {iterations} iterations "
+            f"(stop_reason={stop_reason}, stationarity={stationarity:.3e})",
+            solution=solution,
+        )
+    return solution
 
 
 def fair_point_residual(family: Family, y) -> float:

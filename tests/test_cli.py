@@ -1,7 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclex import (
     ConfigValidation,
@@ -355,3 +363,231 @@ class TestMain:
         payload = json.loads(out.read_text())
         assert payload["chain"] == [6.0, 14.0, 6.0, 14.0]
         assert payload["verdict"] == "candidate falsified"
+
+
+FALSIFY = {"kind": "falsify", "candidate": "perimeter", "m": 3, "rho": 2.0, "sphere_samples": 4}
+SPIRAL = {"kind": "spiral", "x": [0, 0.1], "y": [1, 0], "n": 2}
+PARALLEL = {"kind": "parallel", "family": THREE_BALLS, "start": [2, 2]}
+QUADRATIC = {
+    "kind": "projected_gradient",
+    "family": THREE_BALLS,
+    "start": [1, 1],
+    "objective": {"kind": "quadratic_to_target", "target": [[0, 0], [1, 1], [2, 2]]},
+}
+
+
+def with_value(config, path, value):
+    """A deep copy of ``config`` with the entry at ``path`` set to ``value``."""
+    config = json.loads(json.dumps(config))
+    *parents, last = path
+    node = config
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return config
+
+
+def run_main(tmp_path, config, *extra):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    return main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"), *extra])
+
+
+PERIODIC = periodic_config()
+
+# id: (base config, path of the entry, loosely typed value, expected message)
+STRICT_TYPING_CASES = {
+    "target_block_count": (QUADRATIC, ["objective", "target"], [[0, 0], [1, 1]], "objective.target has 2"),
+    "scalar_target": (QUADRATIC, ["objective", "target"], 5, "objective.target"),
+    "rho_infinity": (FALSIFY, ["rho"], math.inf, "rho must be a finite number"),
+    "n_true": (SPIRAL, ["n"], True, "n must be an integer"),
+    "n_float": (SPIRAL, ["n"], 2.7, "n must be an integer"),
+    "m_true": (FALSIFY, ["m"], True, "m must be an integer"),
+    "m_float": (FALSIFY, ["m"], 3.5, "m must be an integer"),
+    "seed_true": (FALSIFY, ["seed"], True, "seed must be an integer"),
+    "seed_float": (FALSIFY, ["seed"], 2.7, "seed must be an integer"),
+    "seed_negative": (FALSIFY, ["seed"], -1, "seed must be an integer >= 0"),
+    "sphere_samples_true": (FALSIFY, ["sphere_samples"], True, "sphere_samples must be an integer"),
+    "sphere_samples_float": (FALSIFY, ["sphere_samples"], 4.5, "sphere_samples must be an integer"),
+    "max_sweeps_true": (PERIODIC, ["solver"], {"max_sweeps": True}, "solver.max_sweeps must be an integer"),
+    "max_sweeps_float": (PERIODIC, ["solver"], {"max_sweeps": 2.7}, "solver.max_sweeps must be an integer"),
+    "max_iters_true": (PARALLEL, ["solver"], {"max_iters": True}, "solver.max_iters must be an integer"),
+    "max_iters_float": (PARALLEL, ["solver"], {"max_iters": 2.7}, "solver.max_iters must be an integer"),
+    "string_sweep_tol": (PERIODIC, ["solver"], {"sweep_tol": "1e-3"}, "solver.sweep_tol must be a finite"),
+    "output_csv_number": (PERIODIC, ["output"], {"csv": 3}, "output.csv must be a path string"),
+    "candidate_list": (FALSIFY, ["candidate"], ["perimeter"], "candidate must be one of"),
+}
+
+
+@pytest.mark.parametrize(
+    "base, path, value, expected", list(STRICT_TYPING_CASES.values()), ids=list(STRICT_TYPING_CASES)
+)
+def test_loosely_typed_config_is_one_config_error(tmp_path, capsys, base, path, value, expected):
+    assert run_main(tmp_path, with_value(base, path, value)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert expected in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_override_is_one_config_error(tmp_path, capsys):
+    assert run_main(tmp_path, FALSIFY, "--seed", "-1") == 1
+    assert capsys.readouterr().err.splitlines() == ["config error: seed must be an integer >= 0"]
+
+
+def test_a_regular_file_as_out_dir_is_one_write_error(tmp_path, capsys):
+    (tmp_path / "plain").write_text("")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(FALSIFY))
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "plain" / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cannot write ")
+
+
+@pytest.mark.parametrize(
+    "config, expected",
+    [
+        (with_value(SPIRAL, ["x"], [0, 2]), "error: inner target norm"),
+        (
+            {**QUADRATIC, "objective": {"kind": "pairwise2"}, "solver": {"gamma": 100}},
+            "error: gamma = 100.0 outside",
+        ),
+    ],
+    ids=["spiral_inner_outside", "gamma_out_of_range"],
+)
+def test_inputs_the_solvers_reject_are_one_error(tmp_path, capsys, config, expected):
+    assert run_main(tmp_path, config) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(expected)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["project", "--set", '{"type":["ball"]}', "--point", "1,1"], "error: unknown set type ['ball']"),
+        (["project", "--set", '{"type":"ball","center":{},"radius":1}', "--point", "1,1"], "error: "),
+        (["spiral", "--x", "0,0.1", "--y", "1,0", "--n", "2", "--out", "{missing}/x.csv"], "cannot write "),
+        (
+            ["falsify", "--candidate", "perimeter", "--m", "3", "--rho", "2", "--out", "{missing}/x.json"],
+            "cannot write ",
+        ),
+        (["falsify", "--candidate", "perimeter", "--m", "3", "--rho", "2", "--seed", "-1"], "error: seed"),
+        (["spiral", "--x", "0,0.1", "--y", "1,0", "--n", "0"], "error: n must be an integer >= 1"),
+    ],
+    ids=["project_type_list", "project_field_type", "spiral_out", "falsify_out", "falsify_seed", "spiral_n"],
+)
+def test_subcommand_faults_are_one_stderr_line(tmp_path, capsys, argv, expected):
+    argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(expected)
+
+
+def test_usage_errors_return_two(capsys):
+    assert main(["spiral", "--x", "0,1"]) == 2
+    assert main(["falsify", "--candidate", "nope", "--m", "3", "--rho", "2"]) == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+# Contract: main returns 0, 1 or 2 for every input, raises nothing, and
+# says why on stderr when it returns 1.  Bases converge within 200 steps
+# and the pool has no integer above 10^3, so every example stays small.
+CONTRACT_BASES = [
+    periodic_config(solver={"max_sweeps": 200}, output={"csv": "a.csv", "json": "b.json"}),
+    {"kind": "pair_distance", "family": THREE_BALLS[:2], "start": [3, 3], "solver": {"max_sweeps": 200}},
+    {**QUADRATIC, "solver": {"max_iters": 200, "gamma": 1.0, "lambda": 1.0}},
+    {**PARALLEL, "variant": "full_mean", "solver": {"max_iters": 200}},
+    {**SPIRAL, "plane": [0, 1]},
+    {**FALSIFY, "z": [0, 1], "seed": 3},
+    {"kind": "gap", "family": THREE_BALLS, "start": [0, 3], "candidate_kind": "cyclic2",
+     "solver": {"max_sweeps": 200, "max_iters": 200}},
+]
+INVALID_VALUES = [None, True, 2.7, -1, "x", [], {}, [[]], math.nan, math.inf, 1e308]
+ADDED_KEYS = ["kind", "family", "start", "solver", "output", "seed", "objective", "variant", "x", "y",
+              "n", "plane", "candidate", "m", "z", "rho", "sphere_samples", "candidate_kind", "csv",
+              "max_sweeps", "gamma", "target", "type", "radius", "bogus"]
+
+
+def paths_into(value, prefix=()):
+    """The path of every entry nested in dicts and lists."""
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from paths_into(child, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    config = json.loads(json.dumps(draw(st.sampled_from(CONTRACT_BASES))))
+    *parents, last = draw(st.sampled_from(list(paths_into(config))))
+    node = config
+    for key in parents:
+        node = node[key]
+    action = draw(st.sampled_from(["drop", "add", "replace"]))
+    if action == "drop":
+        del node[last]
+    elif action == "add" and isinstance(node, dict):
+        node[draw(st.sampled_from(ADDED_KEYS))] = draw(st.sampled_from(INVALID_VALUES))
+    elif action == "add":
+        node.append(draw(st.sampled_from(INVALID_VALUES)))
+    else:
+        node[last] = draw(st.sampled_from(INVALID_VALUES))
+    return config
+
+
+CONTRACT_ARGV = [
+    ["spiral", "--x", "0,0.1", "--y", "1,0", "--n", "3"],
+    ["falsify", "--candidate", "perimeter", "--m", "3", "--rho", "2", "--sphere-samples", "4"],
+    ["project", "--set", '{"type":"ball","center":[0,0],"radius":1}', "--point", "2,0"],
+]
+INVALID_ARGS = ["", "x", "-1", "2.7", "1e308", "nan", "inf", "true", "[]", "{}", "[[]]", "1,abc", ",",
+                "0,0", "1e308,1e308", '{"type":["ball"]}', '{"type":"ball","center":{},"radius":1}',
+                "missing/out"]
+ADDED_FLAGS = ["--x", "--y", "--n", "--plane", "--out", "--m", "--rho", "--z", "--seed",
+               "--sphere-samples", "--candidate", "--set", "--point", "--bogus"]
+
+
+@st.composite
+def mutated_argv(draw):
+    argv = list(draw(st.sampled_from(CONTRACT_ARGV)))
+    flag = draw(st.sampled_from(range(1, len(argv), 2)))  # index of a flag; its value follows
+    action = draw(st.sampled_from(["drop", "add", "replace"]))
+    if action == "drop":
+        del argv[flag : flag + 2]
+    elif action == "add":
+        argv += [draw(st.sampled_from(ADDED_FLAGS)), draw(st.sampled_from(INVALID_ARGS))]
+    else:
+        argv[flag + 1] = draw(st.sampled_from(INVALID_ARGS))
+    return argv
+
+
+def assert_contract(argv):
+    stderr = io.StringIO()
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert stderr.getvalue().strip(), argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=mutated_configs())
+def test_any_mutated_run_config_ends_in_a_contract_exit_code(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert_contract(["run", "--config", str(cfg_path), "--out-dir", str(Path(tmp) / "out")])
+
+
+@settings(max_examples=50, deadline=None)
+@given(argv=mutated_argv())
+def test_any_mutated_subcommand_argv_ends_in_a_contract_exit_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        # every --out path lands in the temporary directory
+        argv = [str(Path(tmp) / a) if i and argv[i - 1] == "--out" else a for i, a in enumerate(argv)]
+        assert_contract(argv)

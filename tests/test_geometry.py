@@ -237,6 +237,29 @@ def test_ball_projects_points_whose_squared_norm_overflows():
     assert np.allclose(far, [1 - math.sqrt(2), 2, 3 + math.sqrt(2)], rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_halfspace_projects_with_badly_scaled_normals(scale):
+    # scale * n and scale * b describe the halfspace {3 y_0 + 4 y_1 <= 5}
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = project(Halfspace([3.0 * scale, 4.0 * scale], 5.0 * scale), [10.0, -2.0])
+    assert np.allclose(got, [7.96, -4.72], rtol=1e-15, atol=0.0)
+
+
+def test_halfspace_overflowing_normal_projects_onto_the_set():
+    hs = Halfspace([1e200, 0], 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inside = project(hs, [3, 0])
+        far = project(hs, [1e200, 0])
+    assert inside.tolist() == [0.0, 0.0]
+    assert far.tolist() == [0.0, 0.0]
+
+
+def test_halfspace_accepts_a_normal_whose_square_underflows():
+    hs = Halfspace([1e-170, 0], 0.0)
+    assert project(hs, [3, 0]).tolist() == [0.0, 0.0]
+    assert project(hs, [-3, 5]).tolist() == [-3.0, 5.0]
+
+
 def test_descriptor_round_trip():
     rng = np.random.default_rng(23)
     for variant in VARIANTS:
@@ -253,3 +276,14 @@ def test_from_descriptor_rejects_unknown():
         from_descriptor({"type": "ball", "center": [0, 0]})
     with pytest.raises(ValueError):
         from_descriptor({"type": "ball", "center": [0, 0], "radius": 1, "extra": 2})
+    with pytest.raises(ValueError, match="unknown set type"):
+        from_descriptor({"type": ["ball"], "center": [0, 0], "radius": 1})
+
+
+def test_descriptor_fields_follow_the_dataclass():
+    assert Ball([1, 2], 3).descriptor() == {"type": "ball", "center": [1.0, 2.0], "radius": 3.0}
+    assert Halfspace([0, 1], 2).descriptor() == {"type": "halfspace", "normal": [0.0, 1.0], "offset": 2.0}
+    with pytest.raises(ValueError, match="^segment descriptor missing fields: a, b$"):
+        from_descriptor({"type": "segment"})
+    with pytest.raises(ValueError, match="^ray descriptor has unknown fields: a, z$"):
+        from_descriptor({"type": "ray", "direction": [1, 0], "z": 0, "a": 1})

@@ -12,6 +12,7 @@ from cyclex import (
     Halfspace,
     LengthMismatch,
     NotConverged,
+    Ray,
     Segment,
     Singleton,
     SolverConfig,
@@ -255,8 +256,8 @@ def test_trajectory_csv_matches_csv_writer(tmp_path):
 
 
 def test_non_finite_iterate_stops_the_run():
-    # the halfspace, applied first, turns the start into NaN: inf / inf
+    # the ray, applied first, turns the start into NaN: its t = inf / inf
     with np.errstate(over="ignore", invalid="ignore"):
-        fam = Family((Ball([0, 0], 1.0), Halfspace([1e200, 0], 0.0)))
+        fam = Family((Ball([0, 0], 1.0), Ray([1e200, 0])))
         with pytest.raises(ValueError, match="point has non-finite coordinates"):
             run_periodic(fam, [1e200, 0])
