@@ -12,11 +12,16 @@ keys (each with a typed parser and either a default or required), its
 cross-field checks, its runner, and whether it writes a CSV.  The
 ``spiral`` and ``falsify`` subcommands build a config from their
 arguments, so every entry point validates through the same table.
+
+The argument parser is built once, on the first ``main`` call, and
+reused; argparse gives every call a fresh namespace, so no call sees
+another's arguments.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -586,7 +591,9 @@ def _cmd_falsify(args) -> int:
     return code
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``cyclex`` argument parser, built on the first call and shared after."""
     parser = argparse.ArgumentParser(
         prog="cyclex",
         description="Projection-method experiments: periodic sweeps, product-space "

@@ -125,10 +125,17 @@ class Segment(ConvexSet):
 
     def _project(self, x):
         d = self.b - self.a
+        w = x - self.a
         dd = float(d @ d)
-        if dd == 0.0:
-            return self.a.copy()
-        t = float((x - self.a) @ d) / dd
+        t = float(w @ d) / dd if _TINY <= dd < math.inf else math.nan
+        if not math.isfinite(t):
+            # d @ d left the normal range or w @ d overflowed: with d scaled
+            # to a largest coordinate of 1, t = (w @ d') / (d' @ d') / scale
+            scale = float(np.max(np.abs(d)))
+            if scale == 0.0:
+                return self.a.copy()
+            d1 = d / scale
+            t = float(w @ d1) / float(d1 @ d1) / scale
         # clamped parameters return the stored endpoint bit-exactly
         if t <= 0.0:
             return self.a.copy()
@@ -149,7 +156,7 @@ class Ray(ConvexSet):
 
     def __post_init__(self):
         object.__setattr__(self, "direction", _frozen(self.direction, "direction"))
-        if float(self.direction @ self.direction) == 0.0:
+        if not np.any(self.direction != 0.0):
             raise ValueError("direction must be nonzero")
 
     @property
@@ -160,7 +167,13 @@ class Ray(ConvexSet):
 
     def _project(self, x):
         u = self.direction
-        t = float(x @ u) / float(u @ u)
+        uu = float(u @ u)
+        t = float(x @ u) / uu if _TINY <= uu < math.inf else math.nan
+        if not math.isfinite(t):
+            # u @ u left the normal range or x @ u overflowed: scaling u to a
+            # largest coordinate of 1 leaves the ray unchanged
+            u = u / float(np.max(np.abs(u)))
+            t = float(x @ u) / float(u @ u)
         if t <= 0.0:
             return np.zeros(self.dim)
         return t * u

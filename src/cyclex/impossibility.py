@@ -14,6 +14,7 @@ Three ingredients:
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import SolverConfig
+from .csvio import write_csv
 from .errors import (
     AntipodalAmbiguity,
     DegenerateInput,
@@ -29,11 +31,10 @@ from .errors import (
     InvalidUnitVector,
 )
 from .geometry import Family, Segment, Singleton, as_vector
-from .product import OBJECTIVES, as_product_point, solve_projected_gradient
+from .product import OBJECTIVES, _roll_blocks, as_product_point, solve_projected_gradient
 from .sweep import Cycle, run_periodic
 
 _COLLINEAR_RTOL = 1e-12
-_CSV_BLOCK_ROWS = 1024
 UNIT_NORM_TOL = 1e-12
 
 STRICT_1 = "strict-1"
@@ -229,20 +230,30 @@ class CandidateFunctional:
     label: str
 
     def __call__(self, blocks) -> float:
-        v = float(self.evaluator(as_product_point(blocks)))
+        return self._value(as_product_point(blocks))
+
+    def _value(self, y: np.ndarray) -> float:
+        """The value at ``y``, already a finite (m, d) float array."""
+        v = float(self.evaluator(y))
         if not math.isfinite(v):
             raise ValueError(f"candidate {self.label!r} returned a non-finite value")
         return v
 
 
 def _perimeter(y):
-    return float(np.sum(np.linalg.norm(y - np.roll(y, -1, axis=0), axis=1)))
+    return float(np.sum(np.linalg.norm(y - _roll_blocks(y, -1), axis=1)))
+
+
+def _objective_candidate(objective):
+    """The evaluator ``y -> objective(m).value(y)``, building each m's objective once."""
+    build = functools.lru_cache(maxsize=8)(objective)
+    return lambda y: build(len(y)).value(y)
 
 
 BUILTIN_CANDIDATES = {
     "perimeter": CandidateFunctional(_perimeter, "perimeter"),
     **{
-        name: CandidateFunctional(lambda y, objective=objective: objective(len(y)).value(y), name)
+        name: CandidateFunctional(_objective_candidate(objective), name)
         for name, objective in OBJECTIVES.items()
     },
     "constant": CandidateFunctional(lambda y: 0.0, "constant"),
@@ -297,25 +308,30 @@ def falsify_candidate(
         raise ValueError("sphere_samples must be >= 2")
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    d = z.shape[0]
-    zeros = [np.zeros(d)] * (m - 2)
-
-    def tup(mid, last):
-        return np.stack(zeros + [mid, last])
-
     rz = rho * z
-    t1 = tup(z, rz)
-    t2 = tup(-z, rz)
-    t3 = tup(-z, -rz)
-    t4 = tup(z, -rz)
-    v1, v2, v3, v4 = (candidate(t) for t in (t1, t2, t3, t4))
-
     perp = orthogonal_completion(z)
     angles = rng.uniform(0.0, 2.0 * math.pi, size=sphere_samples)
-    sphere = [rho * (math.cos(a) * z + math.sin(a) * perp) for a in angles]
+    cos = np.array([math.cos(a) for a in angles])
+    sin = np.array([math.sin(a) for a in angles])
+    sphere = rho * (cos[:, None] * z + sin[:, None] * perp)
+    # every probe tuple is built from z, rho z and the sphere: check them once
+    if not (np.all(np.isfinite(rz)) and np.all(np.isfinite(sphere))):
+        raise ValueError("tuple has non-finite coordinates")
+
+    base = np.zeros((m, z.shape[0]))
+    value = candidate._value
+
+    def at(mid, last):
+        """The candidate at (0, ..., 0, mid, last), a fresh tuple per probe."""
+        y = base.copy()
+        y[-2] = mid
+        y[-1] = last
+        return value(y)
+
+    v1, v2, v3, v4 = at(z, rz), at(-z, rz), at(-z, -rz), at(z, -rz)
 
     def constancy_gap(mid, anchor_values):
-        values = list(anchor_values) + [candidate(tup(mid, w)) for w in sphere]
+        values = list(anchor_values) + [at(mid, w) for w in sphere]
         return max(values) - min(values), values
 
     eq1_gap, eq1_values = constancy_gap(-z, (v2, v3))
@@ -404,13 +420,14 @@ def write_spiral_csv(points: np.ndarray, out) -> None:
     ``out`` is a path, or an open text file that is written and left open.
     """
     points = np.ascontiguousarray(points, dtype=float)
+    d = points.shape[1]
+
+    def columns(start, stop):
+        block = points[start:stop]
+        # a 1 x d by d x 1 matmul runs the dot kernel of np.linalg.norm(row)
+        norms = np.sqrt((block[:, None, :] @ block[:, :, None]).ravel())
+        return [range(start, stop), *block.T.tolist(), norms.tolist()]
+
+    header = ["k"] + [f"x_{j}" for j in range(d)] + ["norm"]
     with nullcontext(out) if hasattr(out, "write") else open(out, "w", newline="") as fh:
-        d = points.shape[1]
-        fh.write(",".join(["k"] + [f"x_{j}" for j in range(d)] + ["norm"]) + "\n")
-        # in blocks: one .tolist() of the whole array would hold n*d Python floats
-        for start in range(0, len(points), _CSV_BLOCK_ROWS):
-            block = points[start : start + _CSV_BLOCK_ROWS]
-            # a 1 x d by d x 1 matmul runs the dot kernel of np.linalg.norm(row)
-            norms = np.sqrt((block[:, None, :] @ block[:, :, None]).ravel())
-            for k, (row, norm) in enumerate(zip(block.tolist(), norms.tolist()), start):
-                fh.write(f"{k},{','.join(map(repr, row))},{norm!r}\n")
+        write_csv(fh, header, 1, len(points), columns)

@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .config import SolverConfig
+from .csvio import write_csv
 from .errors import BlockCountMismatch, DimensionMismatch, InvalidStepSize, NotConverged, TooFewSets
 from .geometry import Family, as_vector
 
@@ -83,6 +84,11 @@ class PairwiseSquared:
         return y - (s - y) / (self.m - 1.0)
 
 
+def _roll_blocks(y: np.ndarray, shift: int) -> np.ndarray:
+    """``np.roll(y, shift, axis=0)`` for a shift of +-1, without its per-call overhead."""
+    return np.concatenate((y[-shift:], y[:-shift]))
+
+
 class CyclicSquared:
     """Phi(y) = sum_i ||y_i - y_{i+1}||^2 with cyclic indexing.
 
@@ -98,11 +104,11 @@ class CyclicSquared:
         self.m = int(m)
 
     def value(self, y: np.ndarray) -> float:
-        d = y - np.roll(y, -1, axis=0)
+        d = y - _roll_blocks(y, -1)
         return float(np.sum(d * d))
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
-        return 2.0 * (2.0 * y - np.roll(y, 1, axis=0) - np.roll(y, -1, axis=0))
+        return 2.0 * (2.0 * y - _roll_blocks(y, 1) - _roll_blocks(y, -1))
 
 
 # the smooth candidate objectives, by name; each is built from the block count m
@@ -301,7 +307,7 @@ def fair_point_residual(family: Family, y) -> float:
     minimizer of phi.
     """
     v = as_vector(y, family.dim)
-    mean = np.mean([s.project(v) for s in family.sets], axis=0)
+    mean = np.mean([s._project(v) for s in family.sets], axis=0)
     return float(np.linalg.norm(v - mean))
 
 
@@ -328,9 +334,12 @@ def write_iteration_csv(log, path) -> None:
     m, d = log[0].blocks.shape
     header = ["iter", "objective_value", "displacement", "stationarity_residual"]
     header += [f"block{i}_x{j}" for i in range(m) for j in range(d)]
+
+    def columns(start, stop):
+        records = log[start:stop]
+        scalars = np.array([(r.objective, r.displacement, r.stationarity) for r in records], dtype=float)
+        blocks = np.array([r.blocks.ravel() for r in records], dtype=float)
+        return [[r.iteration for r in records], *scalars.T.tolist(), *blocks.T.tolist()]
+
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for rec in log:
-            scalars = (float(rec.objective), float(rec.displacement), float(rec.stationarity))
-            cells = map(repr, (*scalars, *rec.blocks.ravel().tolist()))
-            fh.write(f"{rec.iteration},{','.join(cells)}\n")
+        write_csv(fh, header, 1, len(log), columns)

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import SolverConfig
+from .csvio import write_csv
 from .errors import LengthMismatch, NotConverged
 from .geometry import Family, as_vector
 
@@ -28,7 +29,8 @@ class Cycle:
 
     @classmethod
     def from_points(cls, family: Family, points) -> "Cycle":
-        pts = tuple(as_vector(p, family.dim) for p in points)
+        # cycle_residual checks each point (as_vector returns the same array)
+        pts = tuple(np.asarray(p, dtype=float) for p in points)
         return cls(points=pts, residual=cycle_residual(family, pts))
 
     def to_dict(self, sweeps: int, stop_reason: str) -> dict:
@@ -185,10 +187,14 @@ def min_distance_pair(c1, c2, x0, cfg: Optional[SolverConfig] = None):
 def write_trajectory_csv(trajectory: Trajectory, dim: int, path) -> None:
     """One row per projection application: sweep,n_inner,set_index,x_0..x_{d-1}."""
     m = trajectory.m
-    order = default_order(m)
+    order = np.array(default_order(m))
     header = ["sweep", "n_inner", "set_index"] + [f"x_{j}" for j in range(dim)]
+
+    def columns(start, stop):
+        k = np.arange(start, stop)
+        inner = k % m
+        return [(k // m).tolist(), inner.tolist(), order[inner].tolist(),
+                *trajectory.iterates[start:stop].T.tolist()]
+
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for k, row in enumerate(trajectory.iterates):
-            inner = k % m
-            fh.write(f"{k // m},{inner},{order[inner]},{','.join(map(repr, row.tolist()))}\n")
+        write_csv(fh, header, 3, len(trajectory.iterates), columns)

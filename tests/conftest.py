@@ -215,3 +215,50 @@ def csv_writer_bytes(header, rows):
     for row in rows:
         writer.writerow([c if isinstance(c, int) else repr(float(c)) for c in row])
     return buf.getvalue().encode()
+
+
+def falsify_candidate_loop(candidate, m, z, rho, sphere_samples, rng):
+    """The falsifier as a plain per-probe loop: every probe tuple stacked
+    with ``np.stack`` and evaluated through the validating ``candidate(...)``,
+    each sphere point computed on its own with ``math.cos``/``math.sin``."""
+    from cyclex.impossibility import (
+        EQUALITY_1,
+        EQUALITY_2,
+        STRICT_1,
+        STRICT_2,
+        VERDICT_FALSIFIED,
+        VERDICT_LOOP_SATISFIED,
+        FalsificationReport,
+        orthogonal_completion,
+    )
+
+    z = np.asarray(z, dtype=float)
+    zeros = [np.zeros(z.shape[0])] * (m - 2)
+
+    def tup(mid, last):
+        return np.stack(zeros + [mid, last])
+
+    rz = rho * z
+    v1, v2, v3, v4 = (candidate(tup(mid, last)) for mid, last in ((z, rz), (-z, rz), (-z, -rz), (z, -rz)))
+    perp = orthogonal_completion(z)
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=sphere_samples)
+    sphere = [rho * (math.cos(a) * z + math.sin(a) * perp) for a in angles]
+
+    def constancy_gap(mid, anchor_values):
+        values = list(anchor_values) + [candidate(tup(mid, w)) for w in sphere]
+        return max(values) - min(values), values
+
+    eq1_gap, eq1_values = constancy_gap(-z, (v2, v3))
+    eq2_gap, eq2_values = constancy_gap(z, (v4, v1))
+    eq_tol = 1e-12 * (1.0 + max(abs(v) for v in eq1_values + eq2_values))
+    links = (
+        (STRICT_1, v1 >= v2, v1 - v2),
+        (EQUALITY_1, eq1_gap > eq_tol, eq1_gap),
+        (STRICT_2, v3 >= v4, v3 - v4),
+        (EQUALITY_2, eq2_gap > eq_tol, eq2_gap),
+    )
+    chain = (v1, v2, v3, v4)
+    for name, violated, gap in links:
+        if violated:
+            return FalsificationReport(candidate.label, chain, name, float(gap), VERDICT_FALSIFIED)
+    return FalsificationReport(candidate.label, chain, None, 0.0, VERDICT_LOOP_SATISFIED)

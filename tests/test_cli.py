@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -21,6 +24,7 @@ from cyclex import (
     run_experiment,
     validate_config,
 )
+from cyclex import cli
 from cyclex.cli import main
 
 DEGENERATE_FAMILY = [
@@ -363,6 +367,46 @@ class TestMain:
         payload = json.loads(out.read_text())
         assert payload["chain"] == [6.0, 14.0, 6.0, 14.0]
         assert payload["verdict"] == "candidate falsified"
+
+
+class TestSharedParser:
+    """``main`` reuses one argument parser; no call may see another's arguments."""
+
+    def test_seed_override_does_not_stick(self, tmp_path, monkeypatch):
+        seeds = []
+        monkeypatch.setattr(cli, "run_experiment", lambda config, out_dir=None: seeds.append(config.seed) or 0)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(periodic_config(seed=3)))
+        assert main(["run", "--config", str(cfg_path), "--seed", "5"]) == 0
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert seeds == [5, 3]
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert main(["run"]) == 2
+        assert main(["falsify", "--candidate", "perimeter", "--m", "x", "--rho", "2"]) == 2
+        assert main(["falsify", "--candidate", "perimeter", "--m", "3", "--rho", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "candidate falsified"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["falsify", "--help"]])
+    def test_help_twice_is_the_same(self, capsys, argv):
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == first
+        assert "usage: cyclex" in first.out
+
+    def test_built_on_first_call_not_at_import(self):
+        code = (
+            "import cyclex.cli as c; n = c.build_parser.cache_info().currsize; "
+            "c.main(['falsify', '--candidate', 'constant', '--m', '3', '--rho', '2']); "
+            "print(n, c.build_parser.cache_info().currsize, c.build_parser() is c.build_parser())"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.splitlines()[-1] == "0 1 True"
 
 
 FALSIFY = {"kind": "falsify", "candidate": "perimeter", "m": 3, "rho": 2.0, "sphere_samples": 4}

@@ -260,6 +260,56 @@ def test_halfspace_accepts_a_normal_whose_square_underflows():
     assert project(hs, [-3, 5]).tolist() == [-3.0, 5.0]
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_ray_projects_with_badly_scaled_directions(scale):
+    # scale * (3, 4) spans the ray through (0.6, 0.8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = project(Ray([3.0 * scale, 4.0 * scale]), [10.0, -2.0])
+        back = project(Ray([3.0 * scale, 4.0 * scale]), [-10.0, 2.0])
+    assert np.allclose(got, [2.64, 3.52], rtol=1e-15, atol=0.0)
+    assert back.tolist() == [0.0, 0.0]
+
+
+def test_ray_projects_points_whose_dot_overflows():
+    with np.errstate(over="ignore", invalid="ignore"):
+        on_ray = project(Ray([1e200, 0]), [1e200, 0])
+        far = project(Ray([1e10, 1.0]), [1e300, 0.0])  # x @ u overflows, u @ u does not
+    assert on_ray.tolist() == [1e200, 0.0]
+    assert np.allclose(far, [1e300, 1e290], rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_segment_projects_with_badly_scaled_ends(scale):
+    # [0, scale * (3, 4)]: the point scale * (1.5, 2) + q with q orthogonal
+    # to (3, 4) projects onto the midpoint, points far beyond onto the ends
+    seg = Segment([0.0, 0.0], [3.0 * scale, 4.0 * scale])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = project(seg, [1.5 * scale - 4.0 * scale, 2.0 * scale + 3.0 * scale])
+        past_b = project(seg, [6.0 * scale, 8.0 * scale])
+        before_a = project(seg, [-3.0 * scale, -4.0 * scale])
+    assert np.allclose(mid, [1.5 * scale, 2.0 * scale], rtol=1e-15, atol=0.0)
+    assert past_b.tolist() == seg.b.tolist()
+    assert before_a.tolist() == [0.0, 0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6), exponent=st.integers(-100, 100))
+def test_ray_and_segment_keep_their_formula_in_the_normal_range(seed, dim, exponent):
+    # the rescaled paths only take over outside the normal range
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    u, a, b = (scale * rng.uniform(-1, 1, dim) for _ in range(3))
+    x = scale * rng.uniform(-2, 2, dim)
+    if np.any(u != 0):
+        t = float(x @ u) / float(u @ u)
+        want = np.zeros(dim) if t <= 0.0 else t * u
+        assert project(Ray(u), x).tolist() == want.tolist()
+    d = b - a
+    t = float((x - a) @ d) / float(d @ d)
+    want = a if t <= 0.0 else b if t >= 1.0 else a + t * d
+    assert project(Segment(a, b), x).tolist() == want.tolist()
+
+
 def test_descriptor_round_trip():
     rng = np.random.default_rng(23)
     for variant in VARIANTS:

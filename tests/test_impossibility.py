@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import csv_writer_bytes
+from conftest import csv_writer_bytes, falsify_candidate_loop, random_unit
 from cyclex import (
     BUILTIN_CANDIDATES,
     AntipodalAmbiguity,
@@ -278,3 +278,54 @@ def test_spiral_csv_norms_match_np_linalg_norm(tmp_path_factory, d, n, seed, sca
     path = tmp_path_factory.mktemp("spiral") / "spiral.csv"
     write_spiral_csv(points, path)
     assert path.read_bytes() == spiral_csv_reference(points)
+
+
+def _tilt(d):
+    w = np.arange(1.0, d + 1.0)
+    return 0.5 * w / np.linalg.norm(w)
+
+
+def _coupled(y):
+    # holds strict-1 and breaks equality-1 by a gap the sphere probes set
+    return float(y[-1] @ _tilt(y.shape[1]) - y[-2] @ y[-1])
+
+
+def _one_sided(y):
+    # zero where the middle block points away from the tilt: holds the first
+    # three links and breaks equality-2 when z points along the tilt
+    w = _tilt(y.shape[1])
+    return float(y[-2] @ w > 0.0) * float(y[-1] @ w - y[-2] @ y[-1])
+
+
+CANDIDATES = {
+    **BUILTIN_CANDIDATES,
+    "coupled": CandidateFunctional(_coupled, "coupled"),
+    "one_sided": CandidateFunctional(_one_sided, "one_sided"),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CANDIDATES)),
+    m=st.integers(3, 40),
+    d=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    rho=st.floats(1.0, 1e3, exclude_min=True),
+    samples=st.integers(2, 64),
+)
+def test_falsifier_matches_the_per_probe_loop(name, m, d, seed, rho, samples):
+    z = random_unit(np.random.default_rng(seed), d)
+    got = falsify_candidate(CANDIDATES[name], m, z, rho, samples, rng=np.random.default_rng(seed))
+    want = falsify_candidate_loop(CANDIDATES[name], m, z, rho, samples, np.random.default_rng(seed))
+    assert got.to_dict() == want.to_dict()
+
+
+def test_falsifier_rejects_probe_tuples_that_overflow():
+    # |z| is 1 within tolerance, but rho z overflows: no probe may reach the
+    # candidate, which would score the non-finite tuple 0.0
+    z, rho = [1.0 + 5e-13, 0.0], 1.7976931348623157e308
+    constant = BUILTIN_CANDIDATES["constant"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for falsify in (falsify_candidate, falsify_candidate_loop):
+            with pytest.raises(ValueError, match="tuple has non-finite coordinates"):
+                falsify(constant, 3, z, rho, 4, np.random.default_rng(0))

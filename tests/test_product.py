@@ -35,7 +35,7 @@ from cyclex import (
     solve_parallel,
     solve_projected_gradient,
 )
-from cyclex.product import write_iteration_csv
+from cyclex.product import _roll_blocks, write_iteration_csv
 
 EQUILATERAL_CENTERS = np.array([[0.0, 0.0], [6.0, 0.0], [3.0, 3.0 * math.sqrt(3.0)]])
 
@@ -98,6 +98,12 @@ class TestObjectives:
     def test_pairwise_value_equals_double_loop_on_raw_floats(self, rows):
         y = np.array(rows)
         assert PairwiseSquared(len(rows)).value(y) == pairwise_squared_loop(y)
+
+    @settings(max_examples=50, deadline=None)
+    @given(m=st.integers(1, 8), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), shift=st.sampled_from([1, -1]))
+    def test_roll_blocks_equals_np_roll(self, m, d, seed, shift):
+        y = np.random.default_rng(seed).standard_normal((m, d))
+        assert _roll_blocks(y, shift).tolist() == np.roll(y, shift, axis=0).tolist()
 
     @pytest.mark.parametrize("make", [
         lambda m: PairwiseSquared(m),

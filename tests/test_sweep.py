@@ -7,12 +7,12 @@ from conftest import csv_writer_bytes, make_set
 from cyclex import (
     Ball,
     Box,
+    ConvexSet,
     Cycle,
     Family,
     Halfspace,
     LengthMismatch,
     NotConverged,
-    Ray,
     Segment,
     Singleton,
     SolverConfig,
@@ -255,9 +255,19 @@ def test_trajectory_csv_matches_csv_writer(tmp_path):
     assert path.read_bytes() == csv_writer_bytes(header, rows)
 
 
+class NaNProjector(ConvexSet):
+    """A faulty set whose projection of every point is NaN."""
+
+    dim = 2
+    bounded = False
+
+    def _project(self, x):
+        return np.full(2, np.nan)
+
+
 def test_non_finite_iterate_stops_the_run():
-    # the ray, applied first, turns the start into NaN: its t = inf / inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        fam = Family((Ball([0, 0], 1.0), Ray([1e200, 0])))
+    # the faulty set, applied first, turns the start into NaN
+    with np.errstate(invalid="ignore"):
+        fam = Family((Ball([0, 0], 1.0), NaNProjector()))
         with pytest.raises(ValueError, match="point has non-finite coordinates"):
             run_periodic(fam, [1e200, 0])
