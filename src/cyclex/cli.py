@@ -54,8 +54,8 @@ from .product import (
 )
 from .sweep import run_periodic, write_trajectory_csv
 
-# what constructing a value from outside input may raise
-_PARSE_ERRORS = (CyclexError, ValueError, TypeError, OverflowError)
+# what constructing a value from outside input may raise (RecursionError: JSON nested too deep)
+_PARSE_ERRORS = (CyclexError, ValueError, TypeError, OverflowError, RecursionError)
 # what the solvers raise on an input they reject
 _RUN_ERRORS = (CyclexError, ValueError)
 
@@ -87,12 +87,34 @@ class ExperimentConfig:
 # to ``errors`` and returns None.
 
 
+def _numbers(value, name):
+    """``value`` if it is an int or float (never a bool) or nested lists of
+    them; numpy alone would read JSON ``true`` as 1.0 and ``"5"`` as 5.0."""
+    pending = [value]
+    while pending:  # a loop, not recursion: JSON nests as deep as its parser allows
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif type(item) not in (int, float):
+            raise TypeError(f"{name} must hold only numbers, got {item!r}")
+    return value
+
+
+def _build_set(desc):
+    """The set a descriptor builds, once every field holds only numbers."""
+    built = from_descriptor(desc)
+    for key, value in desc.items():
+        if key != "type":
+            _numbers(value, key)
+    return built
+
+
 def _converted(convert):
-    """The parser of a converter that raises on a bad value."""
+    """The parser of a converter of numbers that raises on a bad value."""
 
     def parse(value, errors, name):
         try:
-            return convert(value)
+            return convert(_numbers(value, "coordinates"))
         except _PARSE_ERRORS as exc:
             errors.append(f"{name}: {exc}")
             return None
@@ -142,7 +164,7 @@ def _build_family(descs, errors, name):
     built = []  # (index, set) of the entries that construct
     for i, desc in enumerate(descs):
         try:
-            built.append((i, from_descriptor(desc)))
+            built.append((i, _build_set(desc)))
         except _PARSE_ERRORS as exc:
             # a message that starts with a field name reads as family[i].field ...
             on_field = isinstance(desc, dict) and str(exc).split(" ")[0] in desc
@@ -505,9 +527,9 @@ def _cannot_write(exc: OSError) -> int:
     return 1
 
 
-def _parse_point(text: str) -> np.ndarray:
+def _parse_point(text: str) -> list:
     try:
-        return as_vector([float(tok) for tok in text.split(",") if tok.strip() != ""])
+        return as_vector([float(tok) for tok in text.split(",") if tok.strip() != ""]).tolist()
     except ValueError as exc:
         raise ConfigValidation([f"could not parse point {text!r}: {exc}"]) from exc
 
@@ -521,7 +543,7 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 1
-    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: undecodable bytes
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
     if args.seed is not None and isinstance(data, dict):
@@ -537,7 +559,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_project(args) -> int:
     try:
-        target = from_descriptor(json.loads(args.set))
+        target = _build_set(json.loads(args.set))
         point = _parse_point(args.point)
         result = project(target, point)
     except json.JSONDecodeError as exc:

@@ -2,7 +2,9 @@
 
 Tuples (y_1, ..., y_m) are handled as (m, d) float arrays, one block per
 row, normed by the product norm sqrt(sum_i ||y_i||^2).  The constraint is
-the product set C_1 x ... x C_m whose projection acts blockwise.
+the product set C_1 x ... x C_m whose projection acts blockwise.  Both
+solvers share one loop: parallel projections are projected gradient on the
+product space (Pierra 1984) with their own target map and no relaxation.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ _PARALLEL_TARGETS = {
     "full_mean": lambda x: np.broadcast_to(x.sum(axis=0) / len(x), x.shape),
 }
 PARALLEL_VARIANTS = tuple(_PARALLEL_TARGETS)
+# the float fields of an iteration log row, besides its (m, d) blocks
+_LOG_SCALARS = ("objective", "displacement", "stationarity")
 
 
 def as_product_point(blocks, m: Optional[int] = None, dim: Optional[int] = None) -> np.ndarray:
@@ -45,7 +49,7 @@ def as_product_point(blocks, m: Optional[int] = None, dim: Optional[int] = None)
 def project_blocks(family: Family, y: np.ndarray) -> np.ndarray:
     """Projection onto the product set: each block onto its own set."""
     y = as_product_point(y, family.m, family.dim)
-    return np.stack([s._project(row) for s, row in zip(family.sets, y)])
+    return np.array([s._project(row) for s, row in zip(family.sets, y)])
 
 
 def diagonal_project(y: np.ndarray) -> np.ndarray:
@@ -132,28 +136,13 @@ class QuadraticToTarget:
         return y - self.target
 
 
-def eval_objective(obj, y) -> float:
-    """Objective value at a tuple, after block-count validation."""
-    return obj.value(as_product_point(y, m=obj.m))
-
-
-def grad_objective(obj, y) -> np.ndarray:
-    """Objective gradient at a tuple, one block per row."""
-    return obj.gradient(as_product_point(y, m=obj.m))
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    iteration: int
-    objective: float
-    displacement: float
-    stationarity: float
-    blocks: np.ndarray
-
-
 @dataclass(frozen=True)
 class ProductSolution:
-    """Limit tuple of a product-space run plus its certification residuals."""
+    """Limit tuple of a product-space run plus its certification residuals.
+
+    ``log`` is a record array, row n after iteration n: fields ``objective``,
+    ``displacement``, ``stationarity`` (NaN in row 0, the start) and ``blocks``.
+    """
 
     blocks: np.ndarray
     fair_point: np.ndarray
@@ -162,7 +151,7 @@ class ProductSolution:
     membership: float
     iterations: int
     stop_reason: str
-    log: tuple
+    log: np.recarray
 
     def to_dict(self) -> dict:
         return {
@@ -173,13 +162,6 @@ class ProductSolution:
             "objective": float(self.objective),
             "fair_point": [float(c) for c in self.fair_point],
         }
-
-
-def _relaxation(cfg: SolverConfig, n: int, delta: float) -> float:
-    lam = cfg.relaxation(n)
-    if not 0.0 <= lam <= delta:
-        raise InvalidStepSize(f"lambda_{n} = {lam} outside [0, {delta}]")
-    return lam
 
 
 def solve_projected_gradient(family: Family, obj, x0, cfg: Optional[SolverConfig] = None):
@@ -198,7 +180,7 @@ def solve_projected_gradient(family: Family, obj, x0, cfg: Optional[SolverConfig
     either check.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    x = as_product_point(x0, m=family.m, dim=family.dim).copy()
+    x = as_product_point(x0, m=family.m, dim=family.dim)
     if obj.m != family.m:
         raise BlockCountMismatch(f"objective expects m={obj.m}, family has m={family.m}")
     beta = 1.0 / float(obj.lipschitz_inverse_beta)
@@ -207,25 +189,13 @@ def solve_projected_gradient(family: Family, obj, x0, cfg: Optional[SolverConfig
         raise InvalidStepSize(f"gamma = {gamma} outside ]0, {2.0 * beta}[")
     delta = min(1.0, beta / gamma) + 0.5
 
-    log = [IterationRecord(0, obj.value(x), math.nan, math.nan, x.copy())]
-    stop_reason = "max_iterations"
-    iterations = 0
-    for n in range(cfg.max_iters):
-        grad = obj.gradient(x)
-        proj = project_blocks(family, x - gamma * grad)
-        stationarity = float(np.max(np.linalg.norm(proj - x, axis=1)))
-        lam = _relaxation(cfg, n, delta)
-        x_new = x + lam * (proj - x)
-        displacement = float(np.linalg.norm(x_new - x))
-        x = x_new
-        iterations = n + 1
-        log.append(IterationRecord(iterations, obj.value(x), displacement, stationarity, x.copy()))
-        if displacement <= cfg.sweep_tol:
-            stop_reason = "converged"
-            break
+    def step(n, x, proj):
+        lam = cfg.relaxation(n)
+        if not 0.0 <= lam <= delta:
+            raise InvalidStepSize(f"lambda_{n} = {lam} outside [0, {delta}]")
+        return x + lam * (proj - x)
 
-    target = x - gamma * obj.gradient(x)
-    return _certify(family, x, target, obj, cfg, iterations, stop_reason, log, "projected-gradient")
+    return _iterate(family, x, lambda x: x - gamma * obj.gradient(x), step, obj, cfg, "projected-gradient")
 
 
 def solve_parallel(family: Family, x0, cfg: Optional[SolverConfig] = None, variant: str = "others_mean"):
@@ -245,28 +215,40 @@ def solve_parallel(family: Family, x0, cfg: Optional[SolverConfig] = None, varia
     if variant == "others_mean" and m < 3:
         raise TooFewSets("others_mean needs at least three sets")
     cfg = cfg if cfg is not None else SolverConfig()
-    x = as_product_point(x0, m=m, dim=family.dim).copy()
+    x = as_product_point(x0, m=m, dim=family.dim)
+    # the step is proj itself, not x + 1.0 * (proj - x), which rounds differently
     target_of = _PARALLEL_TARGETS[variant]
-    pairwise = PairwiseSquared(m)
+    return _iterate(family, x, target_of, lambda n, x, proj: proj, PairwiseSquared(m), cfg, "parallel")
 
-    log = [IterationRecord(0, pairwise.value(x), math.nan, math.nan, x.copy())]
+
+def _iterate(family, x, target_of, step, obj, cfg, label) -> ProductSolution:
+    """The product-space loop both solvers run, then its certificate.
+
+    Iteration n projects ``target_of(x)`` blockwise, moves to
+    ``step(n, x, proj)`` and stops once the move's product norm is at most
+    cfg.sweep_tol.  No iterate is changed in place, so the log keeps them
+    without copies.
+    """
+    rows = [(obj.value(x), math.nan, math.nan, x)]
     stop_reason = "max_iterations"
-    iterations = 0
     for n in range(cfg.max_iters):
         proj = project_blocks(family, target_of(x))
         stationarity = float(np.max(np.linalg.norm(proj - x, axis=1)))
-        displacement = float(np.linalg.norm(proj - x))
-        x = proj
-        iterations = n + 1
-        log.append(IterationRecord(iterations, pairwise.value(x), displacement, stationarity, x.copy()))
+        x_new = step(n, x, proj)
+        displacement = float(np.linalg.norm(x_new - x))
+        x = x_new
+        rows.append((obj.value(x), displacement, stationarity, x))
         if displacement <= cfg.sweep_tol:
             stop_reason = "converged"
             break
 
-    return _certify(family, x, target_of(x), pairwise, cfg, iterations, stop_reason, log, "parallel")
+    fields = [(name, float) for name in _LOG_SCALARS] + [("blocks", float, x.shape)]
+    log = np.recarray(len(rows), dtype=fields)
+    log.objective, log.displacement, log.stationarity, log.blocks = zip(*rows)
+    return _certify(family, x, target_of(x), obj, cfg, stop_reason, log, label)
 
 
-def _certify(family, x, target, obj, cfg, iterations, stop_reason, log, label) -> ProductSolution:
+def _certify(family, x, target, obj, cfg, stop_reason, log, label) -> ProductSolution:
     """Certify the limit tuple ``x`` of a product-space run.
 
     ``target`` is the point the solver's map projects blockwise, so the
@@ -276,6 +258,7 @@ def _certify(family, x, target, obj, cfg, iterations, stop_reason, log, label) -
     cfg.fixpoint_tol becomes "certificate_failed".  Returns the solution
     when converged and certified, else raises NotConverged with it attached.
     """
+    iterations = len(log) - 1
     stationarity = float(np.max(np.linalg.norm(project_blocks(family, target) - x, axis=1)))
     membership = float(np.max(np.linalg.norm(project_blocks(family, x) - x, axis=1)))
     if stop_reason == "converged" and (membership > cfg.cycle_tol or stationarity > cfg.fixpoint_tol):
@@ -288,7 +271,7 @@ def _certify(family, x, target, obj, cfg, iterations, stop_reason, log, label) -
         membership=membership,
         iterations=iterations,
         stop_reason=stop_reason,
-        log=tuple(log),
+        log=log,
     )
     if stop_reason != "converged":
         raise NotConverged(
@@ -329,17 +312,14 @@ def fixpoint_check(family: Family, blocks):
 
 def write_iteration_csv(log, path) -> None:
     """Iteration log rows: iter,objective_value,displacement,stationarity_residual,blocks."""
-    if not log:
-        raise ValueError("empty iteration log")
-    m, d = log[0].blocks.shape
+    _, m, d = log.blocks.shape
     header = ["iter", "objective_value", "displacement", "stationarity_residual"]
     header += [f"block{i}_x{j}" for i in range(m) for j in range(d)]
 
     def columns(start, stop):
-        records = log[start:stop]
-        scalars = np.array([(r.objective, r.displacement, r.stationarity) for r in records], dtype=float)
-        blocks = np.array([r.blocks.ravel() for r in records], dtype=float)
-        return [[r.iteration for r in records], *scalars.T.tolist(), *blocks.T.tolist()]
+        rows = log[start:stop]
+        scalars = [rows[name].tolist() for name in _LOG_SCALARS]
+        return [range(start, stop), *scalars, *rows.blocks.reshape(stop - start, m * d).T.tolist()]
 
     with open(path, "w", newline="") as fh:
         write_csv(fh, header, 1, len(log), columns)

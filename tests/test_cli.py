@@ -301,6 +301,13 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert "parse error" in capsys.readouterr().err
 
+    def test_run_reports_json_nested_too_deep(self, tmp_path, capsys):
+        cfg_path = tmp_path / "deep.json"
+        cfg_path.write_text("[" * 100_000)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("cannot read config: maximum recursion depth")
+
     def test_project_subcommand(self, capsys):
         code = main(
             ["project", "--set", '{"type":"ball","center":[0,0],"radius":1}', "--point", "2,0"]
@@ -460,6 +467,19 @@ STRICT_TYPING_CASES = {
     "string_sweep_tol": (PERIODIC, ["solver"], {"sweep_tol": "1e-3"}, "solver.sweep_tol must be a finite"),
     "output_csv_number": (PERIODIC, ["output"], {"csv": 3}, "output.csv must be a path string"),
     "candidate_list": (FALSIFY, ["candidate"], ["perimeter"], "candidate must be one of"),
+    "start_true": (PERIODIC, ["start"], [True, 5], "start: coordinates must hold only numbers"),
+    "start_blocks_string": (PARALLEL, ["start"], ["1", True], "start: coordinates must hold only numbers"),
+    "x_string": (SPIRAL, ["x"], ["0", 0.1], "x: coordinates must hold only numbers"),
+    "y_true": (SPIRAL, ["y"], [True, 0], "y: coordinates must hold only numbers"),
+    "plane_string": (SPIRAL, ["plane"], [0, "1"], "plane: coordinates must hold only numbers"),
+    "z_true": (FALSIFY, ["z"], [True, 0], "z: coordinates must hold only numbers"),
+    "target_true": (
+        QUADRATIC, ["objective", "target"], [[0, 0], [1, True], [2, 2]],
+        "objective.target: coordinates must hold only numbers",
+    ),
+    "center_mixed": (PARALLEL, ["family", 0, "center"], [True, "5"], "family[0].center must hold only numbers"),
+    "radius_true": (PARALLEL, ["family", 1, "radius"], True, "family[1].radius must hold only numbers"),
+    "point_string": (PERIODIC, ["family", 2, "point"], ["2", "0"], "family[2].point must hold only numbers"),
 }
 
 
@@ -517,8 +537,20 @@ def test_inputs_the_solvers_reject_are_one_error(tmp_path, capsys, config, expec
         ),
         (["falsify", "--candidate", "perimeter", "--m", "3", "--rho", "2", "--seed", "-1"], "error: seed"),
         (["spiral", "--x", "0,0.1", "--y", "1,0", "--n", "0"], "error: n must be an integer >= 1"),
+        (
+            ["project", "--set", '{"type":"ball","center":[0,0],"radius":"1"}', "--point", "2,0"],
+            "error: radius must hold only numbers",
+        ),
+        (
+            ["project", "--set", '{"type":"box","lower":[false,0],"upper":[1,1]}', "--point", "2,0"],
+            "error: lower must hold only numbers",
+        ),
+        (["project", "--set", "[" * 100_000, "--point", "1,0"], "error: maximum recursion depth"),
     ],
-    ids=["project_type_list", "project_field_type", "spiral_out", "falsify_out", "falsify_seed", "spiral_n"],
+    ids=[
+        "project_type_list", "project_field_type", "spiral_out", "falsify_out", "falsify_seed", "spiral_n",
+        "project_string_radius", "project_bool_bound", "project_deep_json",
+    ],
 )
 def test_subcommand_faults_are_one_stderr_line(tmp_path, capsys, argv, expected):
     argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]

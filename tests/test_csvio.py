@@ -10,7 +10,7 @@ from conftest import csv_writer_bytes
 from cyclex import Trajectory
 from cyclex.csvio import _BLOCK_CELLS
 from cyclex.impossibility import write_spiral_csv
-from cyclex.product import IterationRecord, write_iteration_csv
+from cyclex.product import write_iteration_csv
 from cyclex.sweep import default_order, write_trajectory_csv
 
 SPECIAL = [
@@ -69,8 +69,13 @@ def test_trajectory_csv_blocks(tmp_path, m, d):
 
 
 def iteration_log(n, m, d):
+    """An n-row iteration log in the layout of ``ProductSolution.log``."""
     values = cells(n, 3 + m * d, seed=n)
-    return [IterationRecord(i, *row[:3].tolist(), row[3:].reshape(m, d)) for i, row in enumerate(values)]
+    fields = [("objective", float), ("displacement", float), ("stationarity", float), ("blocks", float, (m, d))]
+    log = np.recarray(n, dtype=fields)
+    log.objective, log.displacement, log.stationarity = values[:, :3].T
+    log.blocks = values[:, 3:].reshape(n, m, d)
+    return log
 
 
 @pytest.mark.parametrize("m,d", [(2, 2), (50, 4)])
@@ -81,5 +86,5 @@ def test_iteration_csv_blocks(tmp_path, m, d):
         log = iteration_log(n, m, d)
         path = tmp_path / f"log{n}.csv"
         write_iteration_csv(log, path)
-        rows = [[r.iteration, r.objective, r.displacement, r.stationarity, *r.blocks.ravel()] for r in log]
+        rows = [[i, r.objective, r.displacement, r.stationarity, *r.blocks.ravel()] for i, r in enumerate(log)]
         assert path.read_bytes() == csv_writer_bytes(header, rows), n

@@ -27,10 +27,8 @@ from cyclex import (
     SolverConfig,
     TooFewSets,
     diagonal_project,
-    eval_objective,
     fair_point_residual,
     fixpoint_check,
-    grad_objective,
     project_blocks,
     solve_parallel,
     solve_projected_gradient,
@@ -44,32 +42,40 @@ def equilateral_family():
     return Family(tuple(Ball(c, 1.0) for c in EQUILATERAL_CENTERS))
 
 
+# each solver on a family and a start, minimizing the pairwise objective
+SOLVERS = {
+    "projected_gradient": lambda fam, x0: solve_projected_gradient(fam, PairwiseSquared(fam.m), x0),
+    "parallel": lambda fam, x0: solve_parallel(fam, x0),
+}
+
+
 class TestObjectives:
     Y = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
     def test_pairwise_value(self):
         # (1/4) * (1 + 1 + 2)
-        assert eval_objective(PairwiseSquared(3), self.Y) == pytest.approx(1.0, abs=1e-15)
+        assert PairwiseSquared(3).value(self.Y) == pytest.approx(1.0, abs=1e-15)
 
     def test_pairwise_gradient(self):
-        g = grad_objective(PairwiseSquared(3), self.Y)
+        g = PairwiseSquared(3).gradient(self.Y)
         assert np.allclose(g, [[-0.5, -0.5], [1.0, -0.5], [-0.5, 1.0]], atol=1e-15)
 
     def test_constant_tuple_is_minimizer(self):
         y = np.tile([2.0, -3.0], (4, 1))
         for obj in (PairwiseSquared(4), CyclicSquared(4)):
-            assert eval_objective(obj, y) == 0.0
-            assert np.allclose(grad_objective(obj, y), 0.0)
+            assert obj.value(y) == 0.0
+            assert np.allclose(obj.gradient(y), 0.0)
 
     def test_quadratic_at_target(self):
         target = np.array([[1.0, 2.0], [3.0, 4.0]])
         obj = QuadraticToTarget(target)
-        assert eval_objective(obj, target) == 0.0
-        assert np.allclose(grad_objective(obj, target), 0.0)
+        assert obj.value(target) == 0.0
+        assert np.allclose(obj.gradient(target), 0.0)
 
     def test_block_count_mismatch(self):
+        fam = Family((Ball([0, 0], 1.0), Ball([4, 0], 1.0)))
         with pytest.raises(BlockCountMismatch):
-            eval_objective(PairwiseSquared(3), np.zeros((2, 2)))
+            solve_projected_gradient(fam, PairwiseSquared(3), np.zeros((2, 2)))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -116,7 +122,7 @@ class TestObjectives:
             obj = make(m)
             for _ in range(30):
                 y = rng.uniform(-4, 4, (m, 2))
-                g = grad_objective(obj, y)
+                g = obj.gradient(y)
                 fd = central_difference_gradient(obj, y)
                 assert np.linalg.norm(fd - g) <= 1e-6 * (1.0 + np.linalg.norm(g))
 
@@ -133,7 +139,7 @@ class TestObjectives:
             for _ in range(100):
                 u = rng.uniform(-6, 6, (m, 3))
                 v = rng.uniform(-6, 6, (m, 3))
-                lhs = np.linalg.norm(grad_objective(obj, u) - grad_objective(obj, v))
+                lhs = np.linalg.norm(obj.gradient(u) - obj.gradient(v))
                 assert lhs <= obj.lipschitz_inverse_beta * np.linalg.norm(u - v) + 1e-10
 
 
@@ -340,16 +346,30 @@ class TestProjectBlocks:
             project_blocks(self.FAMILY, np.zeros(shape))
 
 
-def test_iteration_csv_matches_csv_writer(tmp_path):
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_log_rows_are_the_iterates(solver):
+    start = EQUILATERAL_CENTERS.copy()
+    sol = SOLVERS[solver](equilateral_family(), start)
+    log = sol.log
+    assert sol.iterations > 1
+    assert len(log) == sol.iterations + 1
+    assert log[-1].blocks.tobytes() == sol.blocks.tobytes()
+    assert log[-1].objective == sol.objective
+    start[:] = 99.0  # the log keeps no view of the caller's start
+    assert np.array_equal(log[0].blocks, EQUILATERAL_CENTERS)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_iteration_csv_matches_csv_writer(tmp_path, solver):
     # row 0 carries NaN displacement and stationarity
-    sol = solve_parallel(equilateral_family(), EQUILATERAL_CENTERS)
+    sol = SOLVERS[solver](equilateral_family(), EQUILATERAL_CENTERS)
     path = tmp_path / "log.csv"
     write_iteration_csv(sol.log, path)
     header = ["iter", "objective_value", "displacement", "stationarity_residual"]
     header += [f"block{i}_x{j}" for i in range(3) for j in range(2)]
     rows = [
-        [r.iteration, r.objective, r.displacement, r.stationarity, *r.blocks.ravel()]
-        for r in sol.log
+        [i, r.objective, r.displacement, r.stationarity, *r.blocks.ravel()]
+        for i, r in enumerate(sol.log)
     ]
     assert math.isnan(rows[0][2]) and math.isnan(rows[0][3])
     assert path.read_bytes() == csv_writer_bytes(header, rows)
