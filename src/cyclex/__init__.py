@@ -71,9 +71,21 @@ from .sweep import (
     run_periodic,
     sweep_once,
 )
-from .cli import ExperimentConfig, run_experiment, validate_config
 
 __version__ = "0.1.0"
+
+# Loaded on first use (PEP 562), so that ``python -m cyclex.cli`` does not
+# find cyclex.cli already imported by its package.
+_CLI_NAMES = ("ExperimentConfig", "run_experiment", "validate_config")
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AffineSubspace",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,16 @@ class ConvexSet:
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    @classmethod
+    def _kernel(cls, sets):
+        """Projection of stacked rows, row i onto ``sets[i]`` (all of type ``cls``).
+
+        The default loops over ``_project``; a variant with a closed form
+        overrides it with one batched kernel over its stacked parameters.
+        Kernels leave their input unchanged.
+        """
+        return lambda x: [s._project(row) for s, row in zip(sets, x)]
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """A random member of the set (distribution unspecified)."""
@@ -126,8 +137,8 @@ class Segment(ConvexSet):
     def _project(self, x):
         d = self.b - self.a
         w = x - self.a
-        dd = float(d @ d)
-        t = float(w @ d) / dd if _TINY <= dd < math.inf else math.nan
+        dd = float(np.vdot(d, d))
+        t = float(np.vdot(w, d)) / dd if _TINY <= dd < math.inf else math.nan
         if not math.isfinite(t):
             # d @ d left the normal range or w @ d overflowed: with d scaled
             # to a largest coordinate of 1, t = (w @ d') / (d' @ d') / scale
@@ -135,7 +146,7 @@ class Segment(ConvexSet):
             if scale == 0.0:
                 return self.a.copy()
             d1 = d / scale
-            t = float(w @ d1) / float(d1 @ d1) / scale
+            t = float(np.vdot(w, d1)) / float(np.vdot(d1, d1)) / scale
         # clamped parameters return the stored endpoint bit-exactly
         if t <= 0.0:
             return self.a.copy()
@@ -167,13 +178,13 @@ class Ray(ConvexSet):
 
     def _project(self, x):
         u = self.direction
-        uu = float(u @ u)
-        t = float(x @ u) / uu if _TINY <= uu < math.inf else math.nan
+        uu = float(np.vdot(u, u))
+        t = float(np.vdot(x, u)) / uu if _TINY <= uu < math.inf else math.nan
         if not math.isfinite(t):
             # u @ u left the normal range or x @ u overflowed: scaling u to a
             # largest coordinate of 1 leaves the ray unchanged
             u = u / float(np.max(np.abs(u)))
-            t = float(x @ u) / float(u @ u)
+            t = float(np.vdot(x, u)) / float(np.vdot(u, u))
         if t <= 0.0:
             return np.zeros(self.dim)
         return t * u
@@ -203,13 +214,38 @@ class Ball(ConvexSet):
 
     def _project(self, x):
         w = x - self.center
-        n = math.sqrt(float(w @ w))  # bit-identical to np.linalg.norm(w)
+        # vdot runs the dot loop of w @ w, but is no ufunc and so never warns
+        n = math.sqrt(float(np.vdot(w, w)))  # bit-identical to np.linalg.norm(w)
         if n <= self.radius:
             return x.copy()
         if n == math.inf:  # w @ w overflowed: take the direction of w rescaled
             w = w / float(np.max(np.abs(w)))
-            n = math.sqrt(float(w @ w))
+            n = math.sqrt(float(np.vdot(w, w)))
         return self.center + (self.radius / n) * w
+
+    @classmethod
+    def _kernel(cls, sets):
+        centers = np.array([s.center for s in sets])
+        radii = np.array([s.radius for s in sets])
+        row_loop = super()._kernel(sets)
+
+        def project_rows(x):
+            w = x - centers
+            # batched 1 x d by d x 1 matmul runs the dot loop of _project row
+            # by row; a squared norm that overflows sends the rows there
+            try:
+                with np.errstate(over="raise"):
+                    n = np.sqrt((w[:, None, :] @ w[:, :, None]).ravel())
+            except FloatingPointError:
+                return row_loop(x)
+            far = n > radii
+            if far.all():
+                return centers + (radii / n)[:, None] * w
+            # rows inside divide by inf, never by zero, and keep x
+            p = centers + (radii / np.where(far, n, math.inf))[:, None] * w
+            return np.where(far[:, None], p, x)
+
+        return project_rows
 
     def sample(self, rng):
         u = rng.standard_normal(self.dim)
@@ -244,6 +280,12 @@ class Box(ConvexSet):
     def _project(self, x):
         return np.clip(x, self.lower, self.upper)
 
+    @classmethod
+    def _kernel(cls, sets):
+        lower = np.array([s.lower for s in sets])
+        upper = np.array([s.upper for s in sets])
+        return lambda x: np.clip(x, lower, upper)
+
     def sample(self, rng):
         return self.lower + rng.random(self.dim) * (self.upper - self.lower)
 
@@ -271,19 +313,19 @@ class Halfspace(ConvexSet):
 
     def _project(self, x):
         u = self.normal
-        s = float(u @ x) - self.offset
+        s = float(np.vdot(u, x)) - self.offset
         if s <= 0.0:
             return x.copy()
-        uu = float(u @ u)
+        uu = float(np.vdot(u, u))
         if not (_TINY <= uu < math.inf and math.isfinite(s)):
             # u @ u or s overflowed, or u @ u lost precision below the normal
             # range: scale u to a largest coordinate of 1 (and the offset with it)
             scale = float(np.max(np.abs(u)))
             u = u / scale
-            s = float(u @ x) - self.offset / scale
+            s = float(np.vdot(u, x)) - self.offset / scale
             if s <= 0.0:
                 return x.copy()
-            uu = float(u @ u)
+            uu = float(np.vdot(u, u))
         return x - (s / uu) * u
 
     def sample(self, rng):
@@ -432,6 +474,28 @@ class Family:
     @property
     def dim(self) -> int:
         return self.sets[0].dim
+
+    @cached_property
+    def _blocks(self) -> tuple:
+        """The blockwise projection, grouped by set type on first use.
+
+        One (rows, project) pair per type: ``project(y[rows])`` projects
+        those rows of a stacked (m, d) point.  A type with one set keeps its
+        ``_project`` and an int row; the others get the type's ``_kernel``.
+        """
+        groups = {}
+        for i, s in enumerate(self.sets):
+            groups.setdefault(type(s), []).append(i)
+        return tuple(
+            (rows[0], self.sets[rows[0]]._project)
+            if len(rows) == 1
+            else (np.array(rows), cls._kernel([self.sets[i] for i in rows]))
+            for cls, rows in groups.items()
+        )
+
+    def __getstate__(self):
+        # the cached kernels are closures, which do not pickle; a copy regroups
+        return {"sets": self.sets}
 
     def descriptor(self):
         return [s.descriptor() for s in self.sets]

@@ -47,9 +47,19 @@ def as_product_point(blocks, m: Optional[int] = None, dim: Optional[int] = None)
 
 
 def project_blocks(family: Family, y: np.ndarray) -> np.ndarray:
-    """Projection onto the product set: each block onto its own set."""
+    """Projection onto the product set: each block onto its own set.
+
+    The rows of each set type go through one kernel over that type's
+    stacked parameters (``Family._blocks``), bit-identical to projecting
+    row by row with ``_project``.  The result is a fresh C-order array
+    even when ``y`` is a broadcast view, so later sums over it add in
+    row order.
+    """
     y = as_product_point(y, family.m, family.dim)
-    return np.array([s._project(row) for s, row in zip(family.sets, y)])
+    out = np.empty(y.shape)
+    for rows, project in family._blocks:
+        out[rows] = project(y[rows])
+    return out
 
 
 def diagonal_project(y: np.ndarray) -> np.ndarray:
@@ -79,7 +89,7 @@ class PairwiseSquared:
         # batched matmul of 1 x d by d x 1 runs the same dot kernel as d @ d,
         # and cumsum adds the terms strictly in order (np.sum would pair them).
         i, j = self._pairs
-        d = y[i] - y[j]
+        d = np.take(y, i, axis=0) - np.take(y, j, axis=0)
         terms = (d[:, None, :] @ d[:, :, None]).ravel()
         return float(np.cumsum(terms)[-1]) / (2.0 * (self.m - 1.0))
 
@@ -290,7 +300,7 @@ def fair_point_residual(family: Family, y) -> float:
     minimizer of phi.
     """
     v = as_vector(y, family.dim)
-    mean = np.mean([s._project(v) for s in family.sets], axis=0)
+    mean = project_blocks(family, np.broadcast_to(v, (family.m, family.dim))).mean(axis=0)
     return float(np.linalg.norm(v - mean))
 
 

@@ -206,6 +206,11 @@ def pairwise_squared_loop(y):
     return total / (2.0 * (m - 1.0))
 
 
+def project_rows_loop(family, y):
+    """The blockwise projection row by row: one ``_project`` call per block."""
+    return np.array([s._project(row) for s, row in zip(family.sets, y)])
+
+
 def csv_writer_bytes(header, rows):
     """What ``csv.writer`` with newline line ends writes for a header and rows
     whose cells are ints or floats; floats are written as their repr."""

@@ -415,6 +415,19 @@ class TestSharedParser:
         ).stdout
         assert out.splitlines()[-1] == "0 1 True"
 
+    def test_python_dash_m_runs_without_warnings(self):
+        # the package imports cyclex.cli lazily, so runpy does not find it
+        # already in sys.modules when it runs the module as __main__
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "cyclex.cli", "spiral", "--x", "1,0", "--y", "0,2", "--n", "3"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        # stderr carries the spiral's final-norm report and nothing else
+        assert done.returncode == 0
+        assert [line.partition("=")[0] for line in done.stderr.splitlines()] == ["final_norm"]
+        assert done.stdout.startswith("k,x_0,x_1,norm")
+
 
 FALSIFY = {"kind": "falsify", "candidate": "perimeter", "m": 3, "rho": 2.0, "sphere_samples": 4}
 SPIRAL = {"kind": "spiral", "x": [0, 0.1], "y": [1, 0], "n": 2}

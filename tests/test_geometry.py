@@ -230,9 +230,8 @@ def test_ellipsoid_projection_meets_kkt_oracle(case):
 
 
 def test_ball_projects_points_whose_squared_norm_overflows():
-    with np.errstate(over="ignore"):
-        got = project(Ball([0, 0], 1.0), [1e200, 1e200])
-        far = project(Ball([1, 2, 3], 2.0), [-1e300, 0.0, 1e300])
+    got = project(Ball([0, 0], 1.0), [1e200, 1e200])
+    far = project(Ball([1, 2, 3], 2.0), [-1e300, 0.0, 1e300])
     assert np.allclose(got, [math.sqrt(0.5), math.sqrt(0.5)], rtol=1e-15, atol=0.0)
     assert np.allclose(far, [1 - math.sqrt(2), 2, 3 + math.sqrt(2)], rtol=1e-15, atol=0.0)
 
@@ -240,16 +239,14 @@ def test_ball_projects_points_whose_squared_norm_overflows():
 @pytest.mark.parametrize("scale", [1e-170, 1e200])
 def test_halfspace_projects_with_badly_scaled_normals(scale):
     # scale * n and scale * b describe the halfspace {3 y_0 + 4 y_1 <= 5}
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = project(Halfspace([3.0 * scale, 4.0 * scale], 5.0 * scale), [10.0, -2.0])
+    got = project(Halfspace([3.0 * scale, 4.0 * scale], 5.0 * scale), [10.0, -2.0])
     assert np.allclose(got, [7.96, -4.72], rtol=1e-15, atol=0.0)
 
 
 def test_halfspace_overflowing_normal_projects_onto_the_set():
     hs = Halfspace([1e200, 0], 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        inside = project(hs, [3, 0])
-        far = project(hs, [1e200, 0])
+    inside = project(hs, [3, 0])
+    far = project(hs, [1e200, 0])
     assert inside.tolist() == [0.0, 0.0]
     assert far.tolist() == [0.0, 0.0]
 
@@ -263,17 +260,15 @@ def test_halfspace_accepts_a_normal_whose_square_underflows():
 @pytest.mark.parametrize("scale", [1e-170, 1e200])
 def test_ray_projects_with_badly_scaled_directions(scale):
     # scale * (3, 4) spans the ray through (0.6, 0.8)
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = project(Ray([3.0 * scale, 4.0 * scale]), [10.0, -2.0])
-        back = project(Ray([3.0 * scale, 4.0 * scale]), [-10.0, 2.0])
+    got = project(Ray([3.0 * scale, 4.0 * scale]), [10.0, -2.0])
+    back = project(Ray([3.0 * scale, 4.0 * scale]), [-10.0, 2.0])
     assert np.allclose(got, [2.64, 3.52], rtol=1e-15, atol=0.0)
     assert back.tolist() == [0.0, 0.0]
 
 
 def test_ray_projects_points_whose_dot_overflows():
-    with np.errstate(over="ignore", invalid="ignore"):
-        on_ray = project(Ray([1e200, 0]), [1e200, 0])
-        far = project(Ray([1e10, 1.0]), [1e300, 0.0])  # x @ u overflows, u @ u does not
+    on_ray = project(Ray([1e200, 0]), [1e200, 0])
+    far = project(Ray([1e10, 1.0]), [1e300, 0.0])  # x @ u overflows, u @ u does not
     assert on_ray.tolist() == [1e200, 0.0]
     assert np.allclose(far, [1e300, 1e290], rtol=1e-15, atol=0.0)
 
@@ -283,10 +278,9 @@ def test_segment_projects_with_badly_scaled_ends(scale):
     # [0, scale * (3, 4)]: the point scale * (1.5, 2) + q with q orthogonal
     # to (3, 4) projects onto the midpoint, points far beyond onto the ends
     seg = Segment([0.0, 0.0], [3.0 * scale, 4.0 * scale])
-    with np.errstate(over="ignore", invalid="ignore"):
-        mid = project(seg, [1.5 * scale - 4.0 * scale, 2.0 * scale + 3.0 * scale])
-        past_b = project(seg, [6.0 * scale, 8.0 * scale])
-        before_a = project(seg, [-3.0 * scale, -4.0 * scale])
+    mid = project(seg, [1.5 * scale - 4.0 * scale, 2.0 * scale + 3.0 * scale])
+    past_b = project(seg, [6.0 * scale, 8.0 * scale])
+    before_a = project(seg, [-3.0 * scale, -4.0 * scale])
     assert np.allclose(mid, [1.5 * scale, 2.0 * scale], rtol=1e-15, atol=0.0)
     assert past_b.tolist() == seg.b.tolist()
     assert before_a.tolist() == [0.0, 0.0]

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    VARIANTS,
     central_difference_gradient,
     csv_writer_bytes,
     equilateral_ball_family_oracle,
     make_set,
     pairwise_squared_loop,
+    project_rows_loop,
 )
 from cyclex import (
     Ball,
@@ -18,6 +21,7 @@ from cyclex import (
     Box,
     CyclicSquared,
     DimensionMismatch,
+    Ellipsoid,
     Family,
     InvalidStepSize,
     NotConverged,
@@ -344,6 +348,90 @@ class TestProjectBlocks:
     def test_rejects_mis_shaped(self, shape, error):
         with pytest.raises(error):
             project_blocks(self.FAMILY, np.zeros(shape))
+
+    def test_family_pickles_after_use(self):
+        # the grouping cached on first use stays out of the pickle
+        fam = Family((Ball([0, 0], 1.0), Ball([4, 0], 1.0), Box([2, 2], [3, 3])))
+        y = np.array([[3.0, 0.0], [4.0, 0.5], [0.0, 0.0]])
+        want = project_blocks(fam, y)
+        clone = pickle.loads(pickle.dumps(fam))
+        assert np.array_equal(project_blocks(clone, y), want)
+
+
+def oracle_set(kind, dim, rng):
+    """A catalog set, a radius-0 ball or a box whose bounds are signed zeros."""
+    if kind == "zero_ball":
+        return Ball(rng.uniform(-5, 5, dim), 0.0)
+    if kind == "zero_box":
+        return Box(*np.where(rng.random((2, dim)) < 0.5, -0.0, 0.0))
+    return make_set(kind, dim, rng)
+
+
+def oracle_row(kind, targets, dim, rng):
+    """A block to project onto each set of ``targets``: random, the center
+    of the first if it is a ball, signed zeros, or so large that its squared
+    distance to a ball overflows (unless an ellipsoid, whose interior test
+    overflows too, is among the targets)."""
+    if kind == "center" and isinstance(targets[0], Ball):
+        return targets[0].center.copy()
+    if kind == "zeros":
+        return np.where(rng.random(dim) < 0.5, -0.0, 0.0)
+    if kind == "huge" and not any(isinstance(s, Ellipsoid) for s in targets):
+        return rng.choice([-1.0, 1.0], dim) * 10.0 ** rng.uniform(155, 300, dim)
+    return rng.uniform(-8, 8, dim)
+
+
+def oracle_case(seed, dim, kinds, row_kinds, broadcast):
+    """A family of the given set kinds and a point to project, stacked or
+    (like the full_mean target) one row broadcast to every block."""
+    rng = np.random.default_rng(seed)
+    family = Family(tuple(oracle_set(kind, dim, rng) for kind in kinds))
+    if broadcast:
+        row = oracle_row(row_kinds[0], family.sets, dim, rng)
+        return family, np.broadcast_to(row, (family.m, dim))
+    return family, np.array([oracle_row(kind, (s,), dim, rng) for kind, s in zip(row_kinds, family.sets)])
+
+
+ORACLE_CASES = st.integers(2, 12).flatmap(
+    lambda m: st.tuples(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.lists(st.sampled_from(VARIANTS + ("zero_ball", "zero_box")), min_size=m, max_size=m),
+        st.lists(st.sampled_from(["random", "center", "zeros", "huge"]), min_size=m, max_size=m),
+        st.booleans(),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ORACLE_CASES)
+def test_project_blocks_equals_row_loop(case):
+    # bit for bit, signs of zero included: every artifact is built from it
+    family, y = oracle_case(*case)
+    before = y.copy()
+    want = project_rows_loop(family, y)
+    for _ in range(2):  # grouping the rows, then from the cached groups
+        got = project_blocks(family, y)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert got.flags.c_contiguous
+    assert np.array_equal(y, before)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=ORACLE_CASES)
+def test_residuals_equal_row_loop_formulas(case):
+    seed, dim, kinds, _, broadcast = case
+    family, y = oracle_case(seed, dim, kinds, ["random"] * len(kinds), broadcast)
+    v = y[0]
+    mean = np.mean([s._project(v) for s in family.sets], axis=0)
+    assert fair_point_residual(family, v) == float(np.linalg.norm(v - mean))
+    z = diagonal_project(y)
+    pcz = project_rows_loop(family, z)
+    assert fixpoint_check(family, y) == (
+        float(np.linalg.norm(y - pcz)),
+        float(np.linalg.norm(z - diagonal_project(pcz))),
+    )
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
