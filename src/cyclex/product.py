@@ -84,23 +84,25 @@ class PairwiseSquared:
     def lipschitz_inverse_beta(self) -> float:
         return self.m / (self.m - 1.0)
 
-    def value(self, y: np.ndarray) -> float:
+    def value(self, y: np.ndarray):
+        """Phi at an (m, d) tuple, or an array of Phi over a (..., m, d) stack."""
         # Bit-identical to summing float(d @ d) over i < j in a double loop:
         # batched matmul of 1 x d by d x 1 runs the same dot kernel as d @ d,
-        # and cumsum adds the terms strictly in order (np.sum would pair them).
+        # and add.accumulate (cumsum) adds the terms strictly in order (a sum
+        # would pair them).
         i, j = self._pairs
-        d = np.take(y, i, axis=0) - np.take(y, j, axis=0)
-        terms = (d[:, None, :] @ d[:, :, None]).ravel()
-        return float(np.cumsum(terms)[-1]) / (2.0 * (self.m - 1.0))
+        d = y.take(i, axis=-2) - y.take(j, axis=-2)
+        terms = (d[..., None, :] @ d[..., :, None])[..., 0, 0]
+        return _scalar(np.add.accumulate(terms, axis=-1)[..., -1]) / (2.0 * (self.m - 1.0))
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
         s = y.sum(axis=0)
         return y - (s - y) / (self.m - 1.0)
 
 
-def _roll_blocks(y: np.ndarray, shift: int) -> np.ndarray:
-    """``np.roll(y, shift, axis=0)`` for a shift of +-1, without its per-call overhead."""
-    return np.concatenate((y[-shift:], y[:-shift]))
+def _scalar(v):
+    """A float for a 0-d result, the array itself for a stack of them."""
+    return float(v) if v.ndim == 0 else v
 
 
 class CyclicSquared:
@@ -116,13 +118,17 @@ class CyclicSquared:
         if m < 2:
             raise ValueError("cyclic objective needs m >= 2")
         self.m = int(m)
+        # y.take(self._next, axis=-2) is np.roll(y, -1, axis=-2) without its per-call overhead
+        self._next = np.roll(np.arange(self.m), -1)
+        self._prev = np.roll(np.arange(self.m), 1)
 
-    def value(self, y: np.ndarray) -> float:
-        d = y - _roll_blocks(y, -1)
-        return float(np.sum(d * d))
+    def value(self, y: np.ndarray):
+        """Phi at an (m, d) tuple, or an array of Phi over a (..., m, d) stack."""
+        d = y - y.take(self._next, axis=-2)
+        return _scalar(np.add.reduce(d * d, axis=(-2, -1)))
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
-        return 2.0 * (2.0 * y - _roll_blocks(y, 1) - _roll_blocks(y, -1))
+        return 2.0 * (2.0 * y - y.take(self._prev, axis=-2) - y.take(self._next, axis=-2))
 
 
 # the smooth candidate objectives, by name; each is built from the block count m

@@ -206,6 +206,28 @@ def pairwise_squared_loop(y):
     return total / (2.0 * (m - 1.0))
 
 
+def perimeter_formula(y):
+    """Sum of the cyclic block distances of one (m, d) tuple."""
+    return np.sum(np.linalg.norm(y - np.roll(y, -1, axis=0), axis=1))
+
+
+def cyclic_squared_formula(y):
+    """Sum of the squared cyclic block distances of one (m, d) tuple."""
+    d = y - np.roll(y, -1, axis=0)
+    return np.sum(d * d)
+
+
+# each builtin candidate's value at one (m, d) tuple, written out apart
+# from the stacked kernels of cyclex.impossibility
+CANDIDATE_FORMULAS = {
+    "perimeter": perimeter_formula,
+    "pairwise2": pairwise_squared_loop,
+    "cyclic2": cyclic_squared_formula,
+    "constant": lambda y: 0.0,
+    "tuple_norm": lambda y: np.linalg.norm(y),
+}
+
+
 def project_rows_loop(family, y):
     """The blockwise projection row by row: one ``_project`` call per block."""
     return np.array([s._project(row) for s, row in zip(family.sets, y)])

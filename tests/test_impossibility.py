@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import csv_writer_bytes, falsify_candidate_loop, random_unit
+from conftest import CANDIDATE_FORMULAS, csv_writer_bytes, falsify_candidate_loop, random_unit
 from cyclex import (
     BUILTIN_CANDIDATES,
     AntipodalAmbiguity,
@@ -311,8 +312,11 @@ CANDIDATES = {
     d=st.integers(2, 5),
     seed=st.integers(0, 2**32 - 1),
     rho=st.floats(1.0, 1e3, exclude_min=True),
-    samples=st.integers(2, 64),
+    samples=st.integers(2, 256),
 )
+# probes in 29 stacks, the last one short, and in exactly 52 stacks of 4
+@example(name="pairwise2", m=30, d=2, seed=3, rho=2.5, samples=254)
+@example(name="one_sided", m=40, d=5, seed=5, rho=1.5, samples=102)
 def test_falsifier_matches_the_per_probe_loop(name, m, d, seed, rho, samples):
     z = random_unit(np.random.default_rng(seed), d)
     got = falsify_candidate(CANDIDATES[name], m, z, rho, samples, rng=np.random.default_rng(seed))
@@ -329,3 +333,64 @@ def test_falsifier_rejects_probe_tuples_that_overflow():
         for falsify in (falsify_candidate, falsify_candidate_loop):
             with pytest.raises(ValueError, match="tuple has non-finite coordinates"):
                 falsify(constant, 3, z, rho, 4, np.random.default_rng(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BUILTIN_CANDIDATES)),
+    k=st.integers(1, 60),
+    m=st.integers(3, 40),
+    d=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    scales=st.lists(st.sampled_from([0.0, 1e-300, 1e-8, 1.0, 1e6, 1e150, 1e200]), min_size=1, max_size=3),
+)
+def test_stacked_candidates_match_the_per_tuple_formulas(name, k, m, d, seed, scales):
+    # each tuple takes one of the drawn scales, and about a fifth of the
+    # coordinates become zeros of either sign; m * d reaches past numpy's
+    # 128-term pairwise-summation block
+    rng = np.random.default_rng(seed)
+    ys = rng.standard_normal((k, m, d)) * rng.choice(scales, size=(k, 1, 1))
+    ys[rng.random(ys.shape) < 0.2] *= 0.0
+    candidate = BUILTIN_CANDIDATES[name]
+    per_tuple = CandidateFunctional(CANDIDATE_FORMULAS[name], name)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.array([float(CANDIDATE_FORMULAS[name](y)) for y in ys])
+        if np.isfinite(want).all():
+            assert candidate._values(ys).tobytes() == want.tobytes()
+            assert candidate(ys[-1]) == want[-1]
+            return
+        message = f"^candidate '{name}' returned a non-finite value$"
+        for evaluate in (candidate._values, per_tuple._values):
+            with pytest.raises(ValueError, match=message):
+                evaluate(ys)
+
+
+def test_custom_candidate_sees_the_probes_in_the_per_probe_order():
+    def recorder(seen):
+        def evaluator(y):
+            seen.append(y.copy())
+            return float(y[-1] @ y[-2])
+
+        return CandidateFunctional(evaluator, "recorder")
+
+    # m = 40, d = 5 puts the 204 probes in 51 stacks
+    z = random_unit(np.random.default_rng(2), 5)
+    got, want = [], []
+    falsify_candidate(recorder(got), 40, z, 3.0, 100, rng=np.random.default_rng(2))
+    falsify_candidate_loop(recorder(want), 40, z, 3.0, 100, np.random.default_rng(2))
+    assert len(got) == len(want) == 204
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_falsifier_memory_is_bounded_by_the_probe_stack():
+    # all 4004 probe tuples of pairwise2 at m = 40 at once would take
+    # several (4004, 780, 5) block-difference arrays of 125 MB each
+    z = random_unit(np.random.default_rng(0), 5)
+    pairwise = BUILTIN_CANDIDATES["pairwise2"]
+    tracemalloc.start()
+    try:
+        falsify_candidate(pairwise, 40, z, 2.0, 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

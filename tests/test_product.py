@@ -10,6 +10,7 @@ from conftest import (
     VARIANTS,
     central_difference_gradient,
     csv_writer_bytes,
+    cyclic_squared_formula,
     equilateral_ball_family_oracle,
     make_set,
     pairwise_squared_loop,
@@ -37,7 +38,7 @@ from cyclex import (
     solve_parallel,
     solve_projected_gradient,
 )
-from cyclex.product import _roll_blocks, write_iteration_csv
+from cyclex.product import write_iteration_csv
 
 EQUILATERAL_CENTERS = np.array([[0.0, 0.0], [6.0, 0.0], [3.0, 3.0 * math.sqrt(3.0)]])
 
@@ -110,10 +111,13 @@ class TestObjectives:
         assert PairwiseSquared(len(rows)).value(y) == pairwise_squared_loop(y)
 
     @settings(max_examples=50, deadline=None)
-    @given(m=st.integers(1, 8), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), shift=st.sampled_from([1, -1]))
-    def test_roll_blocks_equals_np_roll(self, m, d, seed, shift):
+    @given(m=st.integers(2, 8), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_cyclic_equals_its_np_roll_formulas(self, m, d, seed):
         y = np.random.default_rng(seed).standard_normal((m, d))
-        assert _roll_blocks(y, shift).tolist() == np.roll(y, shift, axis=0).tolist()
+        obj = CyclicSquared(m)
+        assert obj.value(y) == cyclic_squared_formula(y)
+        want = 2.0 * (2.0 * y - np.roll(y, 1, axis=0) - np.roll(y, -1, axis=0))
+        assert obj.gradient(y).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("make", [
         lambda m: PairwiseSquared(m),
