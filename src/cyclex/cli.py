@@ -312,29 +312,29 @@ def _check_falsify(inputs, errors):
 # every call.
 
 
-def _periodic_result(trajectory, cycle, dim):
+def _periodic_result(trajectory, cycle):
     payload = cycle.to_dict(trajectory.sweeps_used, trajectory.stop_reason)
-    return 0, payload, lambda out: write_trajectory_csv(trajectory, dim, out)
+    return 0, payload, lambda out: write_trajectory_csv(trajectory, out)
 
 
 def _product_result(solution):
     return 0, solution.to_dict(), lambda out: write_iteration_csv(solution.log, out)
 
 
-def _not_converged(exc: NotConverged, config):
+def _not_converged(exc: NotConverged):
     """Exit code 2 with the payload and CSV writer of the failed run's last state."""
     diag = exc.diagnostics
     if "solution" in diag:
         _, payload, write_csv = _product_result(diag["solution"])
     else:
-        _, payload, write_csv = _periodic_result(diag["trajectory"], diag["cycle"], config.family.dim)
+        _, payload, write_csv = _periodic_result(diag["trajectory"], diag["cycle"])
     payload["error"] = str(exc)
     return 2, payload, write_csv
 
 
 def _run_periodic(config):
     trajectory, cycle = run_periodic(config.family, config.start, config.solver)
-    return _periodic_result(trajectory, cycle, config.family.dim)
+    return _periodic_result(trajectory, cycle)
 
 
 def _run_pair_distance(config):
@@ -508,7 +508,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> int:
         code, payload, write_csv = kind.run(config)
     except NotConverged as exc:
         print(f"not converged: {exc}", file=sys.stderr)
-        code, payload, write_csv = _not_converged(exc, config)
+        code, payload, write_csv = _not_converged(exc)
     except _RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -595,11 +595,13 @@ def _cmd_falsify(args) -> int:
             "candidate": args.candidate,
             "m": args.m,
             "rho": args.rho,
-            "z": _parse_point(args.z),
+            "z": None if args.z is None else _parse_point(args.z),
             "sphere_samples": args.sphere_samples,
             "seed": args.seed,
         }
-        code, payload, _ = _KINDS["falsify"].run(validate_config(data))
+        # a flag not given stays out of the config, so the falsify kind's default applies
+        config = validate_config({key: value for key, value in data.items() if value is not None})
+        code, payload, _ = _KINDS["falsify"].run(config)
     except _RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -648,9 +650,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fals.add_argument("--m", required=True, type=int, help="tuple size (>= 3)")
     p_fals.add_argument("--rho", required=True, type=float, help="outer sphere radius (> 1)")
-    p_fals.add_argument("--z", default="1,0", help="unit direction (comma list)")
-    p_fals.add_argument("--sphere-samples", type=int, default=16, help="sphere probes (>= 2)")
-    p_fals.add_argument("--seed", type=int, default=0, help="seed for the sphere probes")
+    p_fals.add_argument("--z", default=None, help="unit direction (comma list)")
+    p_fals.add_argument("--sphere-samples", type=int, default=None, help="sphere probes (>= 2)")
+    p_fals.add_argument("--seed", type=int, default=None, help="seed for the sphere probes")
     p_fals.add_argument("--out", default=None, help="also write the report JSON here")
     p_fals.set_defaults(func=_cmd_falsify)
 

@@ -1,10 +1,12 @@
 """Exact nearest-point projections onto a catalog of closed convex sets.
 
-Points are plain 1-D float64 numpy arrays.  Every set variant stores its
-defining data read-only and exposes ``project``, a membership ``sample``
-used by probe-style tests, and a JSON ``descriptor`` round-trip built
-from its dataclass fields; ``from_descriptor`` finds the class by the
-descriptor's ``type`` in one registry.
+Points are plain 1-D float64 numpy arrays.  A set variant is declared by
+its dataclass fields: the shared ``__post_init__`` stores each vector
+field read-only, all of the first one's length (the set's ``dim``), and
+the variant adds only its own rules.  Every variant exposes ``project``,
+a membership ``sample`` used by probe-style tests, and a JSON
+``descriptor`` round-trip built from the same fields; ``from_descriptor``
+finds the class by the descriptor's ``type`` in one registry.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ _TINY = sys.float_info.min  # smallest positive normal float
 _SECULAR_TOL = 1e-13
 _SECULAR_MAX_ITER = 200
 
+Rows = np.ndarray  # a 2-D array of row vectors, left to its variant
+
 
 def as_vector(x, dim=None) -> np.ndarray:
     """Coerce ``x`` to a finite 1-D float64 array, optionally checking length."""
@@ -38,7 +42,7 @@ def as_vector(x, dim=None) -> np.ndarray:
     return v
 
 
-def _frozen(x, name="value") -> np.ndarray:
+def _frozen(x, name) -> np.ndarray:
     v = np.array(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D array")
@@ -51,13 +55,18 @@ def _frozen(x, name="value") -> np.ndarray:
 class ConvexSet:
     """A nonempty closed convex subset of R^dim with an exact projection."""
 
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
+    dim: int
+    bounded: bool
 
-    @property
-    def bounded(self) -> bool:
-        raise NotImplementedError
+    def __post_init__(self):
+        first = self._converted[0][0]
+        for name, vector in self._converted:
+            value = _frozen(getattr(self, name), name) if vector else float(getattr(self, name))
+            if name == first:
+                object.__setattr__(self, "dim", value.shape[0])
+            elif vector and value.shape[0] != self.dim:
+                raise DimensionMismatch(f"{name} must match the dimension of {first}")
+            object.__setattr__(self, name, value)
 
     def project(self, x) -> np.ndarray:
         """Nearest point of the set to ``x``."""
@@ -86,25 +95,40 @@ class ConvexSet:
         The set's type name plus one entry per dataclass field: arrays as
         nested lists, scalars (``radius``, ``offset``) as floats.
         """
-        desc = {"type": _TYPE_NAMES[type(self)]}
+        desc = {"type": self._type_name}
         for f in fields(self):
             value = getattr(self, f.name)
             desc[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
         return desc
 
 
-@dataclass(frozen=True, eq=False)
+_SET_TYPES = {}  # descriptor type name -> variant class
+
+
+def _variant(type_name):
+    """Declare a set variant, a frozen dataclass registered under ``type_name``.
+
+    ``ConvexSet.__post_init__`` converts the fields whose annotation reads
+    ``np.ndarray`` (the first field is one) or ``float``, listed in order in
+    ``_converted`` as (name, is vector) pairs; the variant converts the rest.
+    """
+
+    def declare(cls):
+        cls = dataclass(frozen=True, eq=False)(cls)
+        kinds = {"np.ndarray": True, "float": False}
+        cls._converted = tuple((f.name, kinds[f.type]) for f in fields(cls) if f.type in kinds)
+        cls._type_name = type_name
+        _SET_TYPES[type_name] = cls
+        return cls
+
+    return declare
+
+
+@_variant("singleton")
 class Singleton(ConvexSet):
     """The one-point set {point}."""
 
     point: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", _frozen(self.point, "point"))
-
-    @property
-    def dim(self):
-        return self.point.shape[0]
 
     bounded = True
 
@@ -115,22 +139,12 @@ class Singleton(ConvexSet):
         return self.point.copy()
 
 
-@dataclass(frozen=True, eq=False)
+@_variant("segment")
 class Segment(ConvexSet):
     """The closed segment [a, b]."""
 
     a: np.ndarray
     b: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _frozen(self.a, "a"))
-        object.__setattr__(self, "b", _frozen(self.b, "b"))
-        if self.a.shape[0] != self.b.shape[0]:
-            raise DimensionMismatch("b must match the dimension of a")
-
-    @property
-    def dim(self):
-        return self.a.shape[0]
 
     bounded = True
 
@@ -159,20 +173,16 @@ class Segment(ConvexSet):
         return self.a + t * (self.b - self.a)
 
 
-@dataclass(frozen=True, eq=False)
+@_variant("ray")
 class Ray(ConvexSet):
     """The ray {t * direction : t >= 0} anchored at the origin."""
 
     direction: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "direction", _frozen(self.direction, "direction"))
+        super().__post_init__()
         if not np.any(self.direction != 0.0):
             raise ValueError("direction must be nonzero")
-
-    @property
-    def dim(self):
-        return self.direction.shape[0]
 
     bounded = False
 
@@ -193,7 +203,7 @@ class Ray(ConvexSet):
         return (10.0 * rng.random()) * self.direction
 
 
-@dataclass(frozen=True, eq=False)
+@_variant("ball")
 class Ball(ConvexSet):
     """The closed ball of given center and radius."""
 
@@ -201,14 +211,9 @@ class Ball(ConvexSet):
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _frozen(self.center, "center"))
-        object.__setattr__(self, "radius", float(self.radius))
+        super().__post_init__()
         if not math.isfinite(self.radius) or self.radius < 0.0:
             raise ValueError("radius must be finite and >= 0")
-
-    @property
-    def dim(self):
-        return self.center.shape[0]
 
     bounded = True
 
@@ -256,7 +261,7 @@ class Ball(ConvexSet):
         return self.center + (r / nu) * u
 
 
-@dataclass(frozen=True, eq=False)
+@_variant("box")
 class Box(ConvexSet):
     """The axis-aligned box [lower, upper]."""
 
@@ -264,16 +269,9 @@ class Box(ConvexSet):
     upper: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", _frozen(self.lower, "lower"))
-        object.__setattr__(self, "upper", _frozen(self.upper, "upper"))
-        if self.lower.shape[0] != self.upper.shape[0]:
-            raise DimensionMismatch("upper must match the dimension of lower")
+        super().__post_init__()
         if np.any(self.lower > self.upper):
             raise ValueError("lower must be <= upper componentwise")
-
-    @property
-    def dim(self):
-        return self.lower.shape[0]
 
     bounded = True
 
@@ -290,7 +288,7 @@ class Box(ConvexSet):
         return self.lower + rng.random(self.dim) * (self.upper - self.lower)
 
 
-@dataclass(frozen=True, eq=False)
+@_variant("halfspace")
 class Halfspace(ConvexSet):
     """The halfspace {y : <normal, y> <= offset}."""
 
@@ -298,16 +296,11 @@ class Halfspace(ConvexSet):
     offset: float
 
     def __post_init__(self):
-        object.__setattr__(self, "normal", _frozen(self.normal, "normal"))
-        object.__setattr__(self, "offset", float(self.offset))
+        super().__post_init__()
         if not np.any(self.normal != 0.0):
             raise ValueError("normal must be nonzero")
         if not math.isfinite(self.offset):
             raise ValueError("offset must be finite")
-
-    @property
-    def dim(self):
-        return self.normal.shape[0]
 
     bounded = False
 
@@ -334,7 +327,7 @@ class Halfspace(ConvexSet):
         return 2.0 * self._project(g) - g
 
 
-@dataclass(frozen=True, eq=False)
+@_variant("affine")
 class AffineSubspace(ConvexSet):
     """An affine subspace given by an anchor and an orthonormal basis.
 
@@ -343,16 +336,16 @@ class AffineSubspace(ConvexSet):
     """
 
     anchor: np.ndarray
-    basis: np.ndarray
+    basis: Rows
 
     def __post_init__(self):
-        object.__setattr__(self, "anchor", _frozen(self.anchor, "anchor"))
+        super().__post_init__()
         b = np.array(self.basis, dtype=float)
         if b.ndim != 2 or b.shape[0] == 0:
             raise ValueError("basis must be a nonempty 2-D array of row vectors")
         if not np.all(np.isfinite(b)):
             raise ValueError("basis has non-finite entries")
-        if b.shape[1] != self.anchor.shape[0]:
+        if b.shape[1] != self.dim:
             raise DimensionMismatch("basis vectors must match anchor dimension")
         if b.shape[0] > b.shape[1]:
             raise ValueError("basis has more vectors than the ambient dimension")
@@ -361,10 +354,6 @@ class AffineSubspace(ConvexSet):
             raise ValueError(f"basis rows must be orthonormal to {ORTHONORMAL_TOL:g}")
         b.flags.writeable = False
         object.__setattr__(self, "basis", b)
-
-    @property
-    def dim(self):
-        return self.anchor.shape[0]
 
     bounded = False
 
@@ -377,7 +366,7 @@ class AffineSubspace(ConvexSet):
         return self.anchor + self.basis.T @ t
 
 
-@dataclass(frozen=True, eq=False)
+@_variant("ellipsoid")
 class Ellipsoid(ConvexSet):
     """The solid ellipsoid {y : sum(((y_i - c_i)/axes_i)^2) <= 1}.
 
@@ -395,23 +384,17 @@ class Ellipsoid(ConvexSet):
     axes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _frozen(self.center, "center"))
-        object.__setattr__(self, "axes", _frozen(self.axes, "axes"))
-        if self.center.shape[0] != self.axes.shape[0]:
-            raise DimensionMismatch("axes must match center dimension")
+        super().__post_init__()
         if np.any(self.axes <= 0.0):
             raise ValueError("axes must be positive")
-
-    @property
-    def dim(self):
-        return self.center.shape[0]
 
     bounded = True
 
     def _project(self, x):
         w = x - self.center
         a = self.axes
-        if float(np.sum((w / a) ** 2)) <= 1.0:
+        q = w / a  # vdot never warns, and a q @ q that overflows is outside
+        if float(np.vdot(q, q)) < math.inf and float(np.sum(q**2)) <= 1.0:
             return x.copy()
 
         # 1/||v(t)|| is concave and increasing, so Newton on psi from left
@@ -420,7 +403,7 @@ class Ellipsoid(ConvexSet):
         a2 = a * a
         aw = a * w
         t = max(0.0, float(np.max(np.abs(aw) - a2)))
-        lo, hi = t, math.sqrt(float(aw @ aw))  # s(hi) < 1
+        lo, hi = t, math.sqrt(float(np.vdot(aw, aw)))  # s(hi) < 1, hi = inf past overflow
         for _ in range(_SECULAR_MAX_ITER):
             d = a2 + t
             r = aw / d
@@ -517,19 +500,6 @@ def contains(s: ConvexSet, x, tol: float) -> bool:
         raise ValueError("tolerance must be >= 0")
     x = as_vector(x, s.dim)
     return float(np.linalg.norm(x - s.project(x))) <= tol
-
-
-_SET_TYPES = {
-    "singleton": Singleton,
-    "segment": Segment,
-    "ray": Ray,
-    "ball": Ball,
-    "box": Box,
-    "halfspace": Halfspace,
-    "affine": AffineSubspace,
-    "ellipsoid": Ellipsoid,
-}
-_TYPE_NAMES = {cls: name for name, cls in _SET_TYPES.items()}
 
 
 def from_descriptor(desc: dict) -> ConvexSet:

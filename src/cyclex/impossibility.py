@@ -257,7 +257,8 @@ class _StackedCandidate(CandidateFunctional):
     """A candidate whose evaluator also maps a (..., m, d) stack to its values."""
 
     def _values(self, ys: np.ndarray) -> np.ndarray:
-        v = self.evaluator(ys)
+        with np.errstate(all="ignore"):  # overflows end in the error below, not in warnings
+            v = self.evaluator(ys)
         if not np.isfinite(v).all():
             raise self._non_finite()
         return v

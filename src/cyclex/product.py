@@ -199,6 +199,8 @@ def solve_projected_gradient(family: Family, obj, x0, cfg: Optional[SolverConfig
     x = as_product_point(x0, m=family.m, dim=family.dim)
     if obj.m != family.m:
         raise BlockCountMismatch(f"objective expects m={obj.m}, family has m={family.m}")
+    if hasattr(obj, "target"):  # target blocks of the wrong length would broadcast
+        as_product_point(obj.target, dim=family.dim)
     beta = 1.0 / float(obj.lipschitz_inverse_beta)
     gamma = beta if cfg.gamma is None else float(cfg.gamma)
     if not 0.0 < gamma < 2.0 * beta:

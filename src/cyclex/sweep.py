@@ -184,11 +184,11 @@ def min_distance_pair(c1, c2, x0, cfg: Optional[SolverConfig] = None):
     return (y1, y2), float(np.linalg.norm(y1 - y2))
 
 
-def write_trajectory_csv(trajectory: Trajectory, dim: int, path) -> None:
+def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """One row per projection application: sweep,n_inner,set_index,x_0..x_{d-1}."""
     m = trajectory.m
     order = np.array(default_order(m))
-    header = ["sweep", "n_inner", "set_index"] + [f"x_{j}" for j in range(dim)]
+    header = ["sweep", "n_inner", "set_index"] + [f"x_{j}" for j in range(trajectory.iterates.shape[1])]
 
     def columns(start, stop):
         k = np.arange(start, stop)

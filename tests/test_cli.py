@@ -69,6 +69,12 @@ class TestValidateConfig:
             validate_config(bad)
         assert any("family[2]" in e for e in exc_info.value.errors)
 
+    def test_length_mismatch_names_the_later_field(self):
+        family = [{"type": "ellipsoid", "center": [0, 0], "axes": [1, 2, 3]}, *DEGENERATE_FAMILY[1:]]
+        with pytest.raises(ConfigValidation) as exc_info:
+            validate_config(periodic_config(family=family))
+        assert exc_info.value.errors == ["family[0].axes must match the dimension of center"]
+
     def test_construction_and_dimension_errors_both_reported(self):
         bad = periodic_config(
             family=[
@@ -364,6 +370,24 @@ class TestMain:
         assert len(err) == 1
         assert "could not parse point '1,abc'" in err[0]
         assert "Traceback" not in err[0]
+
+    @pytest.mark.parametrize("candidate", ["perimeter", "cyclic2", "pairwise2", "tuple_norm"])
+    def test_falsify_overflow_is_one_line_error(self, candidate, capsys):
+        # the probes' squares overflow; numpy warnings are errors under pytest
+        assert main(["falsify", "--candidate", candidate, "--m", "3", "--rho", "1e200"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: candidate {candidate!r} returned a non-finite value"]
+
+    def test_falsify_defaults_are_the_config_defaults(self, tmp_path):
+        # no --z, --sphere-samples or --seed: the falsify kind's defaults apply
+        config = {"kind": "falsify", "candidate": "pairwise2", "m": 4, "rho": 2.5}
+        cfg_path = tmp_path / "falsify.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "run")]) == 0
+        out = tmp_path / "report.json"
+        argv = ["falsify", "--candidate", "pairwise2", "--m", "4", "--rho", "2.5", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == (tmp_path / "run" / "falsify.json").read_bytes()
 
     def test_falsify_subcommand(self, tmp_path, capsys):
         out = tmp_path / "report.json"

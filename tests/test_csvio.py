@@ -62,7 +62,7 @@ def test_trajectory_csv_blocks(tmp_path, m, d):
         iterates = cells(sweeps * m, d, seed=n)
         trajectory = Trajectory(np.zeros(d), iterates, "converged", sweeps)
         path = tmp_path / f"traj{n}.csv"
-        write_trajectory_csv(trajectory, d, path)
+        write_trajectory_csv(trajectory, path)
         rows = [[k // m, k % m, order[k % m], *row] for k, row in enumerate(iterates)]
         header = ["sweep", "n_inner", "set_index", *(f"x_{j}" for j in range(d))]
         assert path.read_bytes() == csv_writer_bytes(header, rows), n

@@ -110,6 +110,43 @@ class TestValidation:
         with pytest.raises(ValueError):
             AffineSubspace([0, 0], [[1, 1]])
 
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: Singleton([[1, 2]]), ValueError, "point must be a nonempty 1-D array"),
+            (lambda: Singleton([np.nan]), ValueError, "point has non-finite entries"),
+            (lambda: Segment([], [1]), ValueError, "a must be a nonempty 1-D array"),
+            (lambda: Segment([0, 0], [1]), DimensionMismatch, "b must match the dimension of a"),
+            (lambda: Ray([0, 0]), ValueError, "direction must be nonzero"),
+            (lambda: Ball([0, np.inf], -1.0), ValueError, "center has non-finite entries"),
+            (lambda: Ball([0, 0], "r"), ValueError, "could not convert string to float: 'r'"),
+            (lambda: Ball([0, 0], -1.0), ValueError, "radius must be finite and >= 0"),
+            (lambda: Box([0, 1], [1]), DimensionMismatch, "upper must match the dimension of lower"),
+            (lambda: Box([0, 1], [1, 0]), ValueError, "lower must be <= upper componentwise"),
+            (lambda: Halfspace([0, 0], np.inf), ValueError, "normal must be nonzero"),
+            (lambda: Halfspace([1, 0], np.inf), ValueError, "offset must be finite"),
+            (lambda: AffineSubspace([[0]], [[1]]), ValueError, "anchor must be a nonempty 1-D array"),
+            (lambda: AffineSubspace([0, 0], [1, 0]), ValueError,
+             "basis must be a nonempty 2-D array of row vectors"),
+            (lambda: AffineSubspace([0, 0], [[1, 0, 0]]), DimensionMismatch,
+             "basis vectors must match anchor dimension"),
+            (lambda: Ellipsoid([0, 0], [0, 1, 2]), DimensionMismatch, "axes must match the dimension of center"),
+            (lambda: Ellipsoid([0, 0], [1, 0]), ValueError, "axes must be positive"),
+        ],
+    )
+    def test_construction_messages_in_field_order(self, build, error, message):
+        # fields are checked in declaration order, the variant's own rules last
+        with pytest.raises(error) as exc_info:
+            build()
+        assert str(exc_info.value) == message
+
+    def test_dim_is_the_length_of_the_first_field(self):
+        rng = np.random.default_rng(2)
+        for variant in VARIANTS:
+            s = make_set(variant, 3, rng)
+            assert s.dim == 3 and vars(s)["dim"] == 3
+            assert all(not v.flags.writeable for v in vars(s).values() if isinstance(v, np.ndarray))
+
     def test_family_checks(self):
         with pytest.raises(ValueError):
             Family((Ball([0, 0], 1.0),))
@@ -234,6 +271,16 @@ def test_ball_projects_points_whose_squared_norm_overflows():
     far = project(Ball([1, 2, 3], 2.0), [-1e300, 0.0, 1e300])
     assert np.allclose(got, [math.sqrt(0.5), math.sqrt(0.5)], rtol=1e-15, atol=0.0)
     assert np.allclose(far, [1 - math.sqrt(2), 2, 3 + math.sqrt(2)], rtol=1e-15, atol=0.0)
+
+
+def test_ellipsoid_projects_far_points_without_overflow_warnings():
+    # the interior test (w / a)^2 and the Newton bracket a w @ a w overflow here;
+    # the pytest configuration turns any numpy warning into an error
+    got = project(Ellipsoid([0, 0], [1, 2]), [1e200, 1e200])
+    far = project(Ellipsoid([1, 2, 3], [2, 1, 1]), [-1e300, 0.0, 1e300])
+    # far along (1, 1) the normal a^-2 p is parallel to (1, 1): p = (1, 4) / sqrt(5)
+    assert np.allclose(got, [1 / math.sqrt(5), 4 / math.sqrt(5)], rtol=1e-13, atol=0.0)
+    assert np.allclose(far, [1 - 4 / math.sqrt(5), 2, 3 + 1 / math.sqrt(5)], rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e200])

@@ -22,7 +22,6 @@ from cyclex import (
     Box,
     CyclicSquared,
     DimensionMismatch,
-    Ellipsoid,
     Family,
     InvalidStepSize,
     NotConverged,
@@ -180,6 +179,12 @@ class TestProjectedGradient:
         obj = QuadraticToTarget(np.zeros((2, 2)))
         with pytest.raises(InvalidStepSize):
             solve_projected_gradient(fam, obj, np.zeros((2, 2)), SolverConfig(gamma=2.0))
+
+    def test_target_of_the_wrong_dimension_is_rejected(self):
+        # a (2, 1) target would broadcast against the (2, 2) blocks
+        fam = Family((Ball([0, 0], 1.0), Box([2, 2], [3, 3])))
+        with pytest.raises(DimensionMismatch, match="blocks have dimension 1, expected 2"):
+            solve_projected_gradient(fam, QuadraticToTarget([[3.0], [3.0]]), np.zeros((2, 2)))
 
     def test_lambda_schedule_validated(self):
         fam = Family((Ball([0, 0], 1.0), Ball([4, 0], 1.0)))
@@ -374,13 +379,12 @@ def oracle_set(kind, dim, rng):
 def oracle_row(kind, targets, dim, rng):
     """A block to project onto each set of ``targets``: random, the center
     of the first if it is a ball, signed zeros, or so large that its squared
-    distance to a ball overflows (unless an ellipsoid, whose interior test
-    overflows too, is among the targets)."""
+    distance to a ball or an ellipsoid overflows."""
     if kind == "center" and isinstance(targets[0], Ball):
         return targets[0].center.copy()
     if kind == "zeros":
         return np.where(rng.random(dim) < 0.5, -0.0, 0.0)
-    if kind == "huge" and not any(isinstance(s, Ellipsoid) for s in targets):
+    if kind == "huge":
         return rng.choice([-1.0, 1.0], dim) * 10.0 ** rng.uniform(155, 300, dim)
     return rng.uniform(-8, 8, dim)
 

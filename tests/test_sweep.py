@@ -188,7 +188,7 @@ def test_cycle_recomputes_residual_on_construction():
 def test_trajectory_csv_layout(tmp_path):
     traj, _ = run_periodic(degenerate_family(), [5, 5])
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, 2, path)
+    write_trajectory_csv(traj, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "sweep,n_inner,set_index,x_0,x_1"
     assert lines[1] == "0,0,2,2.0,0.0"
@@ -250,7 +250,7 @@ def test_trajectory_csv_matches_csv_writer(tmp_path):
         x, inter = sweep_once(fam, x)
         rows.extend([n, k, order[k], *p] for k, p in enumerate(inter))
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, 2, path)
+    write_trajectory_csv(traj, path)
     header = ["sweep", "n_inner", "set_index", "x_0", "x_1"]
     assert path.read_bytes() == csv_writer_bytes(header, rows)
 
