@@ -31,7 +31,7 @@ from .errors import (
     InvalidUnitVector,
 )
 from .geometry import Family, Segment, Singleton, as_vector
-from .product import OBJECTIVES, as_product_point, solve_projected_gradient
+from .product import OBJECTIVES, as_product_point, solve_projected_gradient, stack_size
 from .sweep import Cycle, run_periodic
 
 _COLLINEAR_RTOL = 1e-12
@@ -256,6 +256,10 @@ class CandidateFunctional:
 class _StackedCandidate(CandidateFunctional):
     """A candidate whose evaluator also maps a (..., m, d) stack to its values."""
 
+    def _value(self, y: np.ndarray) -> float:
+        with np.errstate(all="ignore"):  # as in _values
+            return super()._value(y)
+
     def _values(self, ys: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):  # overflows end in the error below, not in warnings
             v = self.evaluator(ys)
@@ -289,13 +293,6 @@ BUILTIN_CANDIDATES = {
     "constant": _StackedCandidate(lambda y: np.zeros(y.shape[:-2]), "constant"),
     "tuple_norm": _StackedCandidate(_tuple_norm, "tuple_norm"),
 }
-
-# Probe tuples are evaluated in stacks of k, with k set so that the largest
-# kernel intermediate, the pairwise candidate's (k, m(m-1)/2, d) block
-# differences, has at most this many float64 cells (128 KB).  Twice as many
-# made pairwise2 at m = 40 slower than one probe at a time: past glibc's
-# 128 KB mmap threshold each intermediate faults in fresh pages.
-_PROBE_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -339,8 +336,8 @@ def falsify_candidate(
     strict-2, equality-2 together with the numeric gap.
 
     The 2 * sphere_samples + 4 probe tuples go to ``candidate._values`` in
-    (k, m, d) stacks built one at a time, with k bounded so that no kernel
-    intermediate exceeds ``_PROBE_CELLS`` cells; memory stays
+    (k, m, d) stacks built one at a time, with k = ``product.stack_size(m, d)``
+    bounding every kernel intermediate; memory stays
     O(stack + sphere_samples * d).  Builtin candidates evaluate a stack in
     one kernel call; any other candidate is called once per probe, in the
     order (z, rho z), (-z, rho z), (-z, -rho z), (z, -rho z), then -z and
@@ -368,7 +365,7 @@ def falsify_candidate(
     s, d = sphere_samples, z.shape[0]
     mids = np.repeat(np.array((z, -z, -z, z, -z, z)), (1, 1, 1, 1, s, s), axis=0)
     lasts = np.concatenate((np.array((rz, rz, -rz, -rz)), sphere, sphere))
-    k = max(1, _PROBE_CELLS // (m * (m - 1) // 2 * d))
+    k = stack_size(m, d)
     values = np.empty(len(mids))
     for start in range(0, len(mids), k):
         chunk = slice(start, start + k)

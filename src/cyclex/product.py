@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .config import SolverConfig
-from .csvio import write_csv
+from .csvio import reused_texts, write_csv
 from .errors import BlockCountMismatch, DimensionMismatch, InvalidStepSize, NotConverged, TooFewSets
 from .geometry import Family, as_vector
 
@@ -29,6 +29,18 @@ PARALLEL_VARIANTS = tuple(_PARALLEL_TARGETS)
 # the float fields of an iteration log row, besides its (m, d) blocks
 _LOG_SCALARS = ("objective", "displacement", "stationarity")
 
+# Stacked objective calls take k tuples at a time, with k set so that the
+# largest kernel intermediate, the pairwise objective's (k, m(m-1)/2, d)
+# block differences, has at most this many float64 cells (128 KB).  Twice
+# as many made pairwise2 at m = 40 slower than one tuple at a time: past
+# glibc's 128 KB mmap threshold each intermediate faults in fresh pages.
+_STACK_CELLS = 1 << 14
+
+
+def stack_size(m: int, d: int) -> int:
+    """Tuples per stacked objective call at m blocks of dimension d."""
+    return max(1, _STACK_CELLS // (m * (m - 1) // 2 * d))
+
 
 def as_product_point(blocks, m: Optional[int] = None, dim: Optional[int] = None) -> np.ndarray:
     """Coerce to a finite (m, d) float64 array of stacked blocks."""
@@ -37,7 +49,7 @@ def as_product_point(blocks, m: Optional[int] = None, dim: Optional[int] = None)
         y = y[None, :]
     if y.ndim != 2 or y.size == 0:
         raise ValueError(f"expected an (m, d) tuple of blocks, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("tuple has non-finite coordinates")
     if m is not None and y.shape[0] != m:
         raise BlockCountMismatch(f"tuple has {y.shape[0]} blocks, expected {m}")
@@ -144,9 +156,10 @@ class QuadraticToTarget:
         self.target = as_product_point(target)
         self.m = self.target.shape[0]
 
-    def value(self, y: np.ndarray) -> float:
+    def value(self, y: np.ndarray):
+        """Phi at an (m, d) tuple, or an array of Phi over a (..., m, d) stack."""
         d = y - self.target
-        return 0.5 * float(np.sum(d * d))
+        return 0.5 * _scalar(np.add.reduce(d * d, axis=(-2, -1)))
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
         return y - self.target
@@ -239,34 +252,48 @@ def solve_parallel(family: Family, x0, cfg: Optional[SolverConfig] = None, varia
     return _iterate(family, x, target_of, lambda n, x, proj: proj, PairwiseSquared(m), cfg, "parallel")
 
 
+def _max_block_norm(r: np.ndarray) -> float:
+    """max_i ||r_i|| over the rows of r, as ``np.max(np.linalg.norm(r, axis=1))``
+    computes it: norm squares and add-reduces each row; sqrt is monotonic,
+    so one sqrt of the largest sum gives the same bits."""
+    return math.sqrt(np.add.reduce(r * r, axis=1).max())
+
+
 def _iterate(family, x, target_of, step, obj, cfg, label) -> ProductSolution:
     """The product-space loop both solvers run, then its certificate.
 
     Iteration n projects ``target_of(x)`` blockwise, moves to
     ``step(n, x, proj)`` and stops once the move's product norm is at most
     cfg.sweep_tol.  No iterate is changed in place, so the log keeps them
-    without copies.
+    without copies.  The objective column is filled after the loop, one
+    stacked ``obj.value`` call per ``stack_size`` logged tuples.
     """
-    rows = [(obj.value(x), math.nan, math.nan, x)]
+    iterates, moves = [x], [(math.nan, math.nan)]
     stop_reason = "max_iterations"
     for n in range(cfg.max_iters):
         proj = project_blocks(family, target_of(x))
-        stationarity = float(np.max(np.linalg.norm(proj - x, axis=1)))
+        stationarity = _max_block_norm(proj - x)
         x_new = step(n, x, proj)
-        displacement = float(np.linalg.norm(x_new - x))
+        move = (x_new - x).ravel()
+        displacement = math.sqrt(move.dot(move))  # np.linalg.norm(x_new - x), without its wrapper
         x = x_new
-        rows.append((obj.value(x), displacement, stationarity, x))
+        iterates.append(x)
+        moves.append((displacement, stationarity))
         if displacement <= cfg.sweep_tol:
             stop_reason = "converged"
             break
 
     fields = [(name, float) for name in _LOG_SCALARS] + [("blocks", float, x.shape)]
-    log = np.recarray(len(rows), dtype=fields)
-    log.objective, log.displacement, log.stationarity, log.blocks = zip(*rows)
-    return _certify(family, x, target_of(x), obj, cfg, stop_reason, log, label)
+    log = np.recarray(len(iterates), dtype=fields)
+    log.blocks = iterates
+    log.displacement, log.stationarity = zip(*moves)
+    values, blocks, k = log["objective"], log["blocks"], stack_size(*x.shape)
+    for start in range(0, len(log), k):
+        values[start : start + k] = obj.value(blocks[start : start + k])
+    return _certify(family, x, target_of(x), cfg, stop_reason, log, label)
 
 
-def _certify(family, x, target, obj, cfg, stop_reason, log, label) -> ProductSolution:
+def _certify(family, x, target, cfg, stop_reason, log, label) -> ProductSolution:
     """Certify the limit tuple ``x`` of a product-space run.
 
     ``target`` is the point the solver's map projects blockwise, so the
@@ -275,16 +302,17 @@ def _certify(family, x, target, obj, cfg, stop_reason, log, label) -> ProductSol
     membership exceeds cfg.cycle_tol or whose stationarity exceeds
     cfg.fixpoint_tol becomes "certificate_failed".  Returns the solution
     when converged and certified, else raises NotConverged with it attached.
+    The objective is the last log row's.
     """
     iterations = len(log) - 1
-    stationarity = float(np.max(np.linalg.norm(project_blocks(family, target) - x, axis=1)))
-    membership = float(np.max(np.linalg.norm(project_blocks(family, x) - x, axis=1)))
+    stationarity = _max_block_norm(project_blocks(family, target) - x)
+    membership = _max_block_norm(project_blocks(family, x) - x)
     if stop_reason == "converged" and (membership > cfg.cycle_tol or stationarity > cfg.fixpoint_tol):
         stop_reason = "certificate_failed"
     solution = ProductSolution(
         blocks=x,
         fair_point=x.mean(axis=0),
-        objective=obj.value(x),
+        objective=float(log.objective[-1]),
         stationarity=stationarity,
         membership=membership,
         iterations=iterations,
@@ -329,7 +357,12 @@ def fixpoint_check(family: Family, blocks):
 
 
 def write_iteration_csv(log, path) -> None:
-    """Iteration log rows: iter,objective_value,displacement,stationarity_residual,blocks."""
+    """Iteration log rows: iter,objective_value,displacement,stationarity_residual,blocks.
+
+    A block coordinate is formatted only where its bits differ from the row
+    above; a set that stopped moving, or a coordinate held on a box face,
+    reuses that row's text (``csvio.reused_texts``).
+    """
     _, m, d = log.blocks.shape
     header = ["iter", "objective_value", "displacement", "stationarity_residual"]
     header += [f"block{i}_x{j}" for i in range(m) for j in range(d)]
@@ -337,7 +370,8 @@ def write_iteration_csv(log, path) -> None:
     def columns(start, stop):
         rows = log[start:stop]
         scalars = [rows[name].tolist() for name in _LOG_SCALARS]
-        return [range(start, stop), *scalars, *rows.blocks.reshape(stop - start, m * d).T.tolist()]
+        texts = reused_texts(rows["blocks"].reshape(stop - start, m * d))
+        return [range(start, stop), *scalars, *texts.T.tolist()]
 
     with open(path, "w", newline="") as fh:
         write_csv(fh, header, 1, len(log), columns)

@@ -217,6 +217,12 @@ def cyclic_squared_formula(y):
     return np.sum(d * d)
 
 
+def quadratic_to_target_formula(y, target):
+    """Half the squared product distance of one (m, d) tuple to the target."""
+    d = y - target
+    return 0.5 * float(np.sum(d * d))
+
+
 # each builtin candidate's value at one (m, d) tuple, written out apart
 # from the stacked kernels of cyclex.impossibility
 CANDIDATE_FORMULAS = {
@@ -242,6 +248,20 @@ def csv_writer_bytes(header, rows):
     for row in rows:
         writer.writerow([c if isinstance(c, int) else repr(float(c)) for c in row])
     return buf.getvalue().encode()
+
+
+def iteration_csv_bytes(log):
+    """What ``csv.writer`` writes for an iteration log: the header, then per
+    row the iteration, the three scalars and the blocks, every float by its
+    repr."""
+    _, m, d = log["blocks"].shape
+    header = ["iter", "objective_value", "displacement", "stationarity_residual"]
+    header += [f"block{i}_x{j}" for i in range(m) for j in range(d)]
+    rows = [
+        [i, r["objective"], r["displacement"], r["stationarity"], *r["blocks"].ravel()]
+        for i, r in enumerate(log)
+    ]
+    return csv_writer_bytes(header, rows)
 
 
 def falsify_candidate_loop(candidate, m, z, rho, sphere_samples, rng):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,59 @@ def test_ellipsoid_projects_far_points_without_overflow_warnings():
     # far along (1, 1) the normal a^-2 p is parallel to (1, 1): p = (1, 4) / sqrt(5)
     assert np.allclose(got, [1 / math.sqrt(5), 4 / math.sqrt(5)], rtol=1e-13, atol=0.0)
     assert np.allclose(far, [1 - 4 / math.sqrt(5), 2, 3 + 1 / math.sqrt(5)], rtol=1e-13, atol=0.0)
+
+
+def test_ellipsoid_rescales_when_the_plain_solve_overflows():
+    # a^2 w overflows for the first, w / a for the second; both without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wide = project(Ellipsoid([0, 0], [1e100, 2e100]), [1e200, 1e200])
+        thin = project(Ellipsoid([0, 0], [1e-200, 1]), [1e200, 0])
+    # scaled by 1e-100 the first is the far point of axes (1, 2) along
+    # (1, 1): p = (1, 4) / sqrt(5); the second's nearest point is (1e-200, 0)
+    assert np.allclose(wide, [1e100 / math.sqrt(5), 4e100 / math.sqrt(5)], rtol=1e-13, atol=0.0)
+    assert np.linalg.norm(thin - [1e-200, 0.0]) <= 1e-12 * 1e200
+
+
+@pytest.mark.parametrize(
+    "axes, x, nearest",
+    [
+        ([1e150, 1.0], [1e10, 1e10], [1e10, 1.0]),  # a^2 w overflows, ||w||^2 does not
+        ([1e-300, 1.0], [1e10, 0.5], [1e-300, 0.5]),  # w / a overflows
+    ],
+)
+def test_ellipsoid_rescales_points_at_a_moderate_distance(axes, x, nearest):
+    # the plain solve would overflow although ||x - c||^2 does not; the
+    # nearest point is known to far below 1e-12 * ||x - c|| in each case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = project(Ellipsoid([0, 0], axes), x)
+    assert np.linalg.norm(got - nearest) <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("k", [400, 700, 1000])
+def test_ellipsoid_projection_scales_with_its_axes(k):
+    # P(2^k c + 2^k w; 2^k a) = 2^k P(c + w; a): nothing overflows at k = 0
+    rng = np.random.default_rng(k)
+    center, axes, x = rng.uniform(-1, 1, 3), rng.uniform(0.5, 2.0, 3), rng.uniform(-8, 8, 3)
+    small = project(Ellipsoid(center, axes), x)
+    big = project(Ellipsoid(np.ldexp(center, k), np.ldexp(axes, k)), np.ldexp(x, k))
+    assert np.linalg.norm(np.ldexp(big, -k) - small) <= 1e-12 * np.linalg.norm(x - center)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), exponent=st.integers(100, 300))
+def test_ellipsoid_far_points_keep_the_plain_solve(seed, dim, exponent):
+    # far points that would not overflow keep the bits of the plain solve
+    rng = np.random.default_rng(seed)
+    ellipsoid = Ellipsoid(rng.uniform(-5, 5, dim), 10.0 ** rng.uniform(-3, 3, dim))
+    x = 10.0**exponent * rng.uniform(-1, 1, dim)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            want = ellipsoid._plain(x, x - ellipsoid.center)
+    except FloatingPointError:
+        return
+    assert project(ellipsoid, x).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e200])

@@ -1,4 +1,5 @@
 import math
+import warnings
 import tracemalloc
 
 import numpy as np
@@ -394,3 +395,13 @@ def test_falsifier_memory_is_bounded_by_the_probe_stack():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("name", ["perimeter", "cyclic2", "pairwise2", "tuple_norm"])
+def test_builtin_candidate_called_directly_raises_only_its_error(name):
+    # the single-tuple path runs under the same errstate as the stacked one
+    tup = np.array([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^candidate '{name}' returned a non-finite value$"):
+            BUILTIN_CANDIDATES[name](tup)

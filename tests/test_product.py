@@ -12,9 +12,11 @@ from conftest import (
     csv_writer_bytes,
     cyclic_squared_formula,
     equilateral_ball_family_oracle,
+    iteration_csv_bytes,
     make_set,
     pairwise_squared_loop,
     project_rows_loop,
+    quadratic_to_target_formula,
 )
 from cyclex import (
     Ball,
@@ -37,7 +39,8 @@ from cyclex import (
     solve_parallel,
     solve_projected_gradient,
 )
-from cyclex.product import write_iteration_csv
+from cyclex.csvio import _BLOCK_CELLS
+from cyclex.product import stack_size, write_iteration_csv
 
 EQUILATERAL_CENTERS = np.array([[0.0, 0.0], [6.0, 0.0], [3.0, 3.0 * math.sqrt(3.0)]])
 
@@ -481,3 +484,101 @@ def test_iteration_csv_layout(tmp_path):
     assert header[:4] == ["iter", "objective_value", "displacement", "stationarity_residual"]
     assert len(header) == 4 + 6
     assert len(lines) == 1 + len(sol.log)
+
+
+def lattice_family(rng, m, d):
+    """m balls and boxes at distinct points of a lattice of step 3, and a
+    start spread around them."""
+    side = math.ceil(m ** (1.0 / d)) + 1
+    cells = np.array(np.meshgrid(*[np.arange(side)] * d)).reshape(d, -1).T
+    centers = 3.0 * cells[rng.choice(len(cells), m, replace=False)]
+    sets = tuple(Ball(c, 0.5) if i % 2 else Box(c - 0.4, c + 0.4) for i, c in enumerate(centers))
+    return Family(sets), rng.uniform(-5.0, 3.0 * side + 5.0, (m, d))
+
+
+# objective kind -> (objective of the run, its value at one tuple by an
+# independent formula, step size); the steps make the runs at m = 50, d = 2
+# take several stack_size(50, 2) = 6 rows of iterations
+LOGGED_OBJECTIVES = {
+    "pairwise2": (lambda m, target: PairwiseSquared(m), lambda y, target: pairwise_squared_loop(y), 0.3),
+    "cyclic2": (lambda m, target: CyclicSquared(m), lambda y, target: cyclic_squared_formula(y), None),
+    "quadratic_to_target": (lambda m, target: QuadraticToTarget(target), quadratic_to_target_formula, 0.2),
+}
+
+
+@pytest.mark.parametrize("kind", LOGGED_OBJECTIVES)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_log_objective_is_the_value_at_each_iterate(kind, seed):
+    # the column is filled after the loop in stacked chunks; each row must
+    # carry the bits of the objective at that row's tuple
+    rng = np.random.default_rng(seed)
+    m, d = 50, 2
+    family, x0 = lattice_family(rng, m, d)
+    target = rng.uniform(0.0, 20.0, (m, d))
+    build, formula, gamma = LOGGED_OBJECTIVES[kind]
+    obj = build(m, target)
+    sol = solve_projected_gradient(family, obj, x0, SolverConfig(gamma=gamma))
+    log = sol.log
+    assert len(log) > 2 * stack_size(m, d)
+    want = [formula(y, target) for y in log.blocks]
+    assert log.objective.tolist() == want
+    assert [obj.value(y) for y in log.blocks] == want
+    assert sol.objective == want[-1]
+
+
+def repeating_log(n, m, d, seed, p_block, p_cell):
+    """An n-row iteration log whose blocks repeat like a converging run's:
+    whole blocks keep the row above with probability p_block, single cells
+    with p_cell, and one cell in ten returns to its value two rows up.  New
+    cells are often signed zeros; row 0 has NaN displacement and
+    stationarity."""
+    rng = np.random.default_rng(seed)
+    blocks = np.empty((n, m * d))
+    for i in range(n):
+        fresh = rng.standard_normal(m * d) * 10.0 ** rng.integers(-3, 4, m * d)
+        fresh = np.where(rng.random(m * d) < 0.2, rng.choice([-0.0, 0.0], m * d), fresh)
+        if i == 0:
+            blocks[i] = fresh
+            continue
+        keep = np.repeat(rng.random(m) < p_block, d) | (rng.random(m * d) < p_cell)
+        back = rng.random(m * d) < 0.1
+        earlier = blocks[i - 2] if i >= 2 else blocks[i - 1]
+        blocks[i] = np.where(keep, blocks[i - 1], np.where(back, earlier, fresh))
+    fields = [("objective", float), ("displacement", float), ("stationarity", float), ("blocks", float, (m, d))]
+    log = np.recarray(n, dtype=fields)
+    log.objective, log.displacement, log.stationarity = rng.standard_normal((3, n))
+    log.displacement[0] = log.stationarity[0] = math.nan
+    log.blocks = blocks.reshape(n, m, d)
+    return log
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    d=st.integers(1, 3),
+    span=st.integers(0, 2),
+    offset=st.integers(-2, 30),
+    seed=st.integers(0, 2**32 - 1),
+    p_block=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+    p_cell=st.sampled_from([0.0, 0.3, 0.9]),
+)
+def test_iteration_csv_equals_repr_per_cell(tmp_path_factory, m, d, span, offset, seed, p_block, p_cell):
+    # reused text must write the bytes of one repr per cell, across and
+    # inside the blocks of _BLOCK_CELLS cells the writer formats at a time
+    n = max(1, span * (_BLOCK_CELLS // (4 + m * d)) + offset)
+    log = repeating_log(n, m, d, seed, p_block, p_cell)
+    path = tmp_path_factory.mktemp("log") / "log.csv"
+    write_iteration_csv(log, path)
+    assert path.read_bytes() == iteration_csv_bytes(log)
+
+
+@pytest.mark.parametrize("balls, kernel", [(2, False), (3, False), (4, True), (5, True)])
+def test_small_ball_groups_take_the_row_loop(balls, kernel):
+    # below the measured break-even of four rows the ball kernel costs more
+    sets = tuple(Ball([3.0 * i, 0.0], 1.0) for i in range(balls)) + (Box([0, 5], [1, 6]), Box([2, 5], [3, 6]))
+    family = Family(sets)
+    batched = [rows.tolist() for rows, _ in family._blocks if isinstance(rows, np.ndarray)]
+    assert (list(range(balls)) in batched) == kernel
+    assert [balls, balls + 1] in batched  # two boxes already pay for their kernel
+    y = np.array([[3.0 * i + 0.5, 2.0] for i in range(balls)] + [[-1.0, 5.5], [4.0, 7.0]])
+    assert project_blocks(family, y).tobytes() == project_rows_loop(family, y).tobytes()
