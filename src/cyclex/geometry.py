@@ -387,10 +387,9 @@ class Ellipsoid(ConvexSet):
     t_0 = max(0, max_i(a_i |w_i| - a_i^2)) and kept inside a bisection
     bracket, until the secular residual is at most 1e-13.
 
-    Axes outside [1e-150, 1e150], or a point so far from the center that
-    an intermediate could overflow, run that solve under
-    ``np.errstate(..., "raise")``; if it overflows, ``_rescaled`` solves
-    again with the point and the axes scaled by one power of two.
+    The solve runs under ``np.errstate(..., "raise")``; if an intermediate
+    overflows, ``_rescaled`` solves again with the point and the axes
+    scaled by one power of two.
     """
 
     center: np.ndarray
@@ -400,18 +399,11 @@ class Ellipsoid(ConvexSet):
         super().__post_init__()
         if (self.axes <= 0.0).any():
             raise ValueError("axes must be positive")
-        # no intermediate of the plain solve overflows while ||x - c|| < b:
-        # |w/a|, |a w| and |a^2 w| stay below MAX/2, and a^2 is a normal float
-        lo, hi = float(self.axes.min()), float(self.axes.max())
-        b = 0.5 * sys.float_info.max * min(lo, 1.0 / hi, 1.0 / (hi * hi))
-        object.__setattr__(self, "_plain_norm2", b * b if 1e-150 <= lo and hi <= 1e150 else 0.0)
 
     bounded = True
 
     def _project(self, x):
         w = x - self.center
-        if float(np.vdot(w, w)) < self._plain_norm2:
-            return self._plain(x, w)
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 return self._plain(x, w)

@@ -61,11 +61,12 @@ def as_product_point(blocks, m: Optional[int] = None, dim: Optional[int] = None)
 def project_blocks(family: Family, y: np.ndarray) -> np.ndarray:
     """Projection onto the product set: each block onto its own set.
 
-    The rows of each set type go through one kernel over that type's
-    stacked parameters (``Family._blocks``), bit-identical to projecting
-    row by row with ``_project``.  The result is a fresh C-order array
-    even when ``y`` is a broadcast view, so later sums over it add in
-    row order.
+    Each set type with at least ``_batch_rows`` sets goes through one
+    kernel over that type's stacked parameters, and every other set
+    through its own ``_project`` (``Family._blocks``); both are
+    bit-identical to projecting row by row with ``_project``.  The result
+    is a fresh C-order array even when ``y`` is a broadcast view, so later
+    sums over it add in row order.
     """
     y = as_product_point(y, family.m, family.dim)
     out = np.empty(y.shape)
@@ -163,6 +164,11 @@ class QuadraticToTarget:
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
         return y - self.target
+
+
+# the objectives whose ``value`` maps a (..., m, d) stack to its values,
+# matched by exact type: a subclass may redefine ``value``
+_STACKED_OBJECTIVES = (PairwiseSquared, CyclicSquared, QuadraticToTarget)
 
 
 @dataclass(frozen=True)
@@ -265,8 +271,10 @@ def _iterate(family, x, target_of, step, obj, cfg, label) -> ProductSolution:
     Iteration n projects ``target_of(x)`` blockwise, moves to
     ``step(n, x, proj)`` and stops once the move's product norm is at most
     cfg.sweep_tol.  No iterate is changed in place, so the log keeps them
-    without copies.  The objective column is filled after the loop, one
-    stacked ``obj.value`` call per ``stack_size`` logged tuples.
+    without copies.  The objective column is filled after the loop: one
+    stacked ``obj.value`` call per ``stack_size`` logged tuples for the
+    objectives of this module, one call per tuple for any other, whose
+    ``value`` may take a single (m, d) tuple only.
     """
     iterates, moves = [x], [(math.nan, math.nan)]
     stop_reason = "max_iterations"
@@ -287,9 +295,12 @@ def _iterate(family, x, target_of, step, obj, cfg, label) -> ProductSolution:
     log = np.recarray(len(iterates), dtype=fields)
     log.blocks = iterates
     log.displacement, log.stationarity = zip(*moves)
-    values, blocks, k = log["objective"], log["blocks"], stack_size(*x.shape)
-    for start in range(0, len(log), k):
-        values[start : start + k] = obj.value(blocks[start : start + k])
+    if type(obj) in _STACKED_OBJECTIVES:
+        values, blocks, k = log["objective"], log["blocks"], stack_size(*x.shape)
+        for start in range(0, len(log), k):
+            values[start : start + k] = obj.value(blocks[start : start + k])
+    else:
+        log.objective = [obj.value(y) for y in iterates]
     return _certify(family, x, target_of(x), cfg, stop_reason, log, label)
 
 

@@ -323,9 +323,9 @@ def test_ellipsoid_projection_scales_with_its_axes(k):
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), exponent=st.integers(100, 300))
-def test_ellipsoid_far_points_keep_the_plain_solve(seed, dim, exponent):
-    # far points that would not overflow keep the bits of the plain solve
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), exponent=st.integers(-3, 300))
+def test_ellipsoid_points_keep_the_plain_solve(seed, dim, exponent):
+    # near and far points that would not overflow keep the bits of the plain solve
     rng = np.random.default_rng(seed)
     ellipsoid = Ellipsoid(rng.uniform(-5, 5, dim), 10.0 ** rng.uniform(-3, 3, dim))
     x = 10.0**exponent * rng.uniform(-1, 1, dim)

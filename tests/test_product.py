@@ -526,6 +526,43 @@ def test_log_objective_is_the_value_at_each_iterate(kind, seed):
     assert sol.objective == want[-1]
 
 
+class SingleTupleObjective:
+    """0.5 * ||y - target||^2 whose value takes one (m, d) tuple only, as a
+    caller's own objective may."""
+
+    lipschitz_inverse_beta = 1.0
+
+    def __init__(self, target):
+        self.target = np.asarray(target, float)
+        self.m = len(self.target)
+        self.seen = []
+
+    def value(self, y):
+        m, d = y.shape
+        self.seen.append(y.copy())
+        return 0.5 * float(np.sum((y - self.target) ** 2))
+
+    def gradient(self, y):
+        return y - self.target
+
+
+def test_log_objective_of_a_single_tuple_objective():
+    # an objective outside the module gets one call per logged iterate,
+    # never a stack, and its values land in the log and the solution
+    rng = np.random.default_rng(3)
+    m, d = 50, 2
+    family, x0 = lattice_family(rng, m, d)
+    target = rng.uniform(0.0, 20.0, (m, d))
+    obj = SingleTupleObjective(target)
+    sol = solve_projected_gradient(family, obj, x0, SolverConfig(gamma=0.2))
+    log = sol.log
+    assert len(log) > 2 * stack_size(m, d)
+    want = [0.5 * float(np.sum((y - target) ** 2)) for y in log.blocks]
+    assert [y.shape for y in obj.seen] == [(m, d)] * len(log)
+    assert log.objective.tolist() == want
+    assert sol.objective == want[-1]
+
+
 def repeating_log(n, m, d, seed, p_block, p_cell):
     """An n-row iteration log whose blocks repeat like a converging run's:
     whole blocks keep the row above with probability p_block, single cells
