@@ -25,6 +25,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass, field
+from operator import sub
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -52,6 +53,7 @@ from .product import (
     solve_projected_gradient,
     write_iteration_csv,
 )
+from .sums import norm
 from .sweep import run_periodic, write_trajectory_csv
 
 # what constructing a value from outside input may raise (RecursionError: JSON nested too deep)
@@ -302,7 +304,7 @@ def _check_falsify(inputs, errors):
     rho, z = inputs["rho"], inputs["z"]
     if rho is not None and not rho > 1.0:
         errors.append("rho must exceed 1")
-    if z is not None and abs(float(np.linalg.norm(z)) - 1.0) > UNIT_NORM_TOL:
+    if z is not None and abs(norm(np.asarray(z, dtype=float).tolist()) - 1.0) > UNIT_NORM_TOL:
         errors.append("z must be a unit vector")
 
 
@@ -339,7 +341,7 @@ def _run_periodic(config):
 
 def _run_pair_distance(config):
     code, payload, write_csv = _run_periodic(config)
-    payload["distance"] = float(np.linalg.norm(np.subtract(*payload["points"])))
+    payload["distance"] = norm(list(map(sub, *payload["points"])))
     return code, payload, write_csv
 
 
@@ -366,7 +368,7 @@ def _run_spiral(config):
     payload = {
         "alpha": float(spec.alpha),
         "n": spec.n,
-        "start_norm": float(np.linalg.norm(points[0])),
+        "start_norm": norm(points[0].tolist()),
         "final_norm": final_norm,
     }
     return 0, payload, lambda out: write_spiral_csv(points, out)

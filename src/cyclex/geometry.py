@@ -1,9 +1,12 @@
 """Exact nearest-point projections onto a catalog of closed convex sets.
 
-Points are plain 1-D float64 numpy arrays.  A set variant is declared by
-its dataclass fields: the shared ``__post_init__`` stores each vector
-field read-only, all of the first one's length (the set's ``dim``), and
-the variant adds only its own rules.  Every variant exposes ``project``,
+At the public boundary points are 1-D float64 numpy arrays; inside, the
+projection kernels take and return lists of Python floats, with every
+dot product added in the one order of ``cyclex.sums``.  A set variant is
+declared by its dataclass fields: the shared ``__post_init__`` stores
+each vector field read-only, all of the first one's length (the set's
+``dim``), next to a tuple of its Python floats, and the variant adds only
+its own rules.  Every variant exposes ``project``,
 a membership ``sample`` used by probe-style tests, and a JSON
 ``descriptor`` round-trip built from the same fields; ``from_descriptor``
 finds the class by the descriptor's ``type`` in one registry.
@@ -15,10 +18,13 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import repeat
+from operator import add, mul, sub
 
 import numpy as np
 
 from .errors import DimensionMismatch, EllipsoidNewtonFailure
+from .sums import dot, dot_last, norm
 
 ORTHONORMAL_TOL = 1e-12
 
@@ -61,6 +67,12 @@ def _frozen(x, name) -> np.ndarray:
 class ConvexSet:
     """A nonempty closed convex subset of R^dim with an exact projection.
 
+    ``project`` takes and returns a 1-D float64 array.  Its kernel
+    ``_project`` takes a list of dim Python floats and returns the nearest
+    point as a list of Python floats, which may be its input; neither list
+    is changed afterwards.  Each vector field ``name`` also lives as a
+    tuple of Python floats in ``_name`` for the kernels.
+
     A variant with a closed form may add ``_kernel(sets)``, one batched
     projection of stacked rows, row i onto ``sets[i]`` (all of its type),
     bit-identical to ``_project`` row by row and leaving its input
@@ -82,12 +94,14 @@ class ConvexSet:
             elif vector and value.shape[0] != self.dim:
                 raise DimensionMismatch(f"{name} must match the dimension of {first}")
             object.__setattr__(self, name, value)
+            if vector:
+                object.__setattr__(self, "_" + name, tuple(value.tolist()))
 
     def project(self, x) -> np.ndarray:
         """Nearest point of the set to ``x``."""
-        return self._project(as_vector(x, self.dim))
+        return np.array(self._project(as_vector(x, self.dim).tolist()))
 
-    def _project(self, x: np.ndarray) -> np.ndarray:
+    def _project(self, x: list) -> list:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -140,7 +154,7 @@ class Singleton(ConvexSet):
     bounded = True
 
     def _project(self, x):
-        return self.point.copy()
+        return list(self._point)
 
     def sample(self, rng):
         return self.point.copy()
@@ -156,24 +170,25 @@ class Segment(ConvexSet):
     bounded = True
 
     def _project(self, x):
-        d = self.b - self.a
-        w = x - self.a
-        dd = float(np.vdot(d, d))
-        t = float(np.vdot(w, d)) / dd if _TINY <= dd < math.inf else math.nan
+        a = self._a
+        d = list(map(sub, self._b, a))
+        w = list(map(sub, x, a))
+        dd = dot(d, d)
+        t = dot(w, d) / dd if _TINY <= dd < math.inf else math.nan
         if not math.isfinite(t):
-            # d @ d left the normal range or w @ d overflowed: with d scaled
-            # to a largest coordinate of 1, t = (w @ d') / (d' @ d') / scale
-            scale = float(np.abs(d).max())
+            # d . d left the normal range or w . d overflowed: with d scaled
+            # to a largest coordinate of 1, t = (w . d') / (d' . d') / scale
+            scale = max(map(abs, d))
             if scale == 0.0:
-                return self.a.copy()
-            d1 = d / scale
-            t = float(np.vdot(w, d1)) / float(np.vdot(d1, d1)) / scale
+                return list(a)
+            d1 = [di / scale for di in d]
+            t = dot(w, d1) / dot(d1, d1) / scale
         # clamped parameters return the stored endpoint bit-exactly
         if t <= 0.0:
-            return self.a.copy()
+            return list(a)
         if t >= 1.0:
-            return self.b.copy()
-        return self.a + t * d
+            return list(self._b)
+        return [ai + t * di for ai, di in zip(a, d)]
 
     def sample(self, rng):
         t = rng.random()
@@ -194,17 +209,18 @@ class Ray(ConvexSet):
     bounded = False
 
     def _project(self, x):
-        u = self.direction
-        uu = float(np.vdot(u, u))
-        t = float(np.vdot(x, u)) / uu if _TINY <= uu < math.inf else math.nan
+        u = self._direction
+        uu = dot(u, u)
+        t = dot(x, u) / uu if _TINY <= uu < math.inf else math.nan
         if not math.isfinite(t):
-            # u @ u left the normal range or x @ u overflowed: scaling u to a
+            # u . u left the normal range or x . u overflowed: scaling u to a
             # largest coordinate of 1 leaves the ray unchanged
-            u = u / float(np.abs(u).max())
-            t = float(np.vdot(x, u)) / float(np.vdot(u, u))
+            scale = max(map(abs, u))
+            u = [ui / scale for ui in u]
+            t = dot(x, u) / dot(u, u)
         if t <= 0.0:
-            return np.zeros(self.dim)
-        return t * u
+            return [0.0] * self.dim
+        return [t * ui for ui in u]
 
     def sample(self, rng):
         return (10.0 * rng.random()) * self.direction
@@ -226,15 +242,19 @@ class Ball(ConvexSet):
     _batch_rows = _BALL_BATCH_ROWS
 
     def _project(self, x):
-        w = x - self.center
-        # vdot runs the dot loop of w @ w, but is no ufunc and so never warns
-        n = math.sqrt(float(np.vdot(w, w)))  # bit-identical to np.linalg.norm(w)
+        c = self._center
+        w = list(map(sub, x, c))
+        n = norm(w)
         if n <= self.radius:
-            return x.copy()
-        if n == math.inf:  # w @ w overflowed: take the direction of w rescaled
-            w = w / float(np.abs(w).max())
-            n = math.sqrt(float(np.vdot(w, w)))
-        return self.center + (self.radius / n) * w
+            return x
+        if n == math.inf:
+            # x - c or w . w overflowed: the direction of x - c from x and c
+            # scaled by one power of two, which no finite input overflows
+            e = -math.frexp(max(max(map(abs, x)), max(map(abs, c))))[1]
+            w = [math.ldexp(xi, e) - math.ldexp(ci, e) for xi, ci in zip(x, c)]
+            n = norm(w)
+            return [ci + self.radius * (wi / n) for ci, wi in zip(c, w)]
+        return list(map(add, c, map(mul, repeat(self.radius / n), w)))
 
     @classmethod
     def _kernel(cls, sets):
@@ -242,14 +262,14 @@ class Ball(ConvexSet):
         radii = np.array([s.radius for s in sets])
 
         def project_rows(x):
-            w = x - centers
-            # batched 1 x d by d x 1 matmul runs the dot loop of _project row
-            # by row; a squared norm that overflows sends the rows there
+            # dot_last adds each row's squares in the order of _project; an
+            # overflow sends the rows there
             try:
                 with np.errstate(over="raise"):
-                    n = np.sqrt((w[:, None, :] @ w[:, :, None]).ravel())
+                    w = x - centers
+                    n = np.sqrt(dot_last(w, w))
             except FloatingPointError:
-                return [s._project(row) for s, row in zip(sets, x)]
+                return [s._project(row) for s, row in zip(sets, x.tolist())]
             far = n > radii
             if far.all():
                 return centers + (radii / n)[:, None] * w
@@ -261,7 +281,7 @@ class Ball(ConvexSet):
 
     def sample(self, rng):
         u = rng.standard_normal(self.dim)
-        nu = float(np.linalg.norm(u))
+        nu = norm(u.tolist())
         if nu == 0.0:
             return self.center.copy()
         r = self.radius * rng.random() ** (1.0 / self.dim)
@@ -284,13 +304,15 @@ class Box(ConvexSet):
     _batch_rows = 2
 
     def _project(self, x):
-        return np.clip(x, self.lower, self.upper)
+        # a tie returns the bound (np.clip's rule), which fixes the sign of a zero
+        return [lo if v <= lo else hi if v >= hi else v for v, lo, hi in zip(x, self._lower, self._upper)]
 
     @classmethod
     def _kernel(cls, sets):
         lower = np.array([s.lower for s in sets])
         upper = np.array([s.upper for s in sets])
-        return lambda x: np.clip(x, lower, upper)
+        # the comparisons of _project, so signed zeros agree with it
+        return lambda x: np.where(x <= lower, lower, np.where(x >= upper, upper, x))
 
     def sample(self, rng):
         return self.lower + rng.random(self.dim) * (self.upper - self.lower)
@@ -313,26 +335,27 @@ class Halfspace(ConvexSet):
     bounded = False
 
     def _project(self, x):
-        u = self.normal
-        s = float(np.vdot(u, x)) - self.offset
+        u = self._normal
+        s = dot(u, x) - self.offset
         if s <= 0.0:
-            return x.copy()
-        uu = float(np.vdot(u, u))
+            return x
+        uu = dot(u, u)
         if not (_TINY <= uu < math.inf and math.isfinite(s)):
-            # u @ u or s overflowed, or u @ u lost precision below the normal
+            # u . u or s overflowed, or u . u lost precision below the normal
             # range: scale u to a largest coordinate of 1 (and the offset with it)
-            scale = float(np.abs(u).max())
-            u = u / scale
-            s = float(np.vdot(u, x)) - self.offset / scale
+            scale = max(map(abs, u))
+            u = [ui / scale for ui in u]
+            s = dot(u, x) - self.offset / scale
             if s <= 0.0:
-                return x.copy()
-            uu = float(np.vdot(u, u))
-        return x - (s / uu) * u
+                return x
+            uu = dot(u, u)
+        k = s / uu
+        return [xi - k * ui for xi, ui in zip(x, u)]
 
     def sample(self, rng):
         g = 5.0 * rng.standard_normal(self.dim)
         # a point outside is reflected across the boundary to land inside
-        return 2.0 * self._project(g) - g
+        return 2.0 * self.project(g) - g
 
 
 @_variant("affine")
@@ -357,7 +380,7 @@ class AffineSubspace(ConvexSet):
             raise DimensionMismatch("basis vectors must match anchor dimension")
         if b.shape[0] > b.shape[1]:
             raise ValueError("basis has more vectors than the ambient dimension")
-        gram = b @ b.T
+        gram = dot_last(b[:, None, :], b[None, :, :])
         if float(np.max(np.abs(gram - np.eye(b.shape[0])))) > ORTHONORMAL_TOL:
             raise ValueError(f"basis rows must be orthonormal to {ORTHONORMAL_TOL:g}")
         b.flags.writeable = False
@@ -366,12 +389,13 @@ class AffineSubspace(ConvexSet):
     bounded = False
 
     def _project(self, x):
-        w = x - self.anchor
-        return self.anchor + self.basis.T @ (self.basis @ w)
+        # anchor + B^T (B (x - anchor)), each sum of products in index order
+        coef = dot_last(self.basis, np.array(x) - self.anchor)
+        return (self.anchor + dot_last(self.basis.T, coef)).tolist()
 
     def sample(self, rng):
         t = 5.0 * rng.standard_normal(self.basis.shape[0])
-        return self.anchor + self.basis.T @ t
+        return self.anchor + dot_last(self.basis.T, t)
 
 
 @_variant("ellipsoid")
@@ -403,18 +427,19 @@ class Ellipsoid(ConvexSet):
     bounded = True
 
     def _project(self, x):
+        x = np.array(x)
         w = x - self.center
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return self._plain(x, w)
+                return self._plain(x, w).tolist()
         except FloatingPointError:
-            return self._rescaled(x, w)
+            return self._rescaled(x, w).tolist()
 
     def _plain(self, x, w):
         a = self.axes
-        q = w / a  # vdot never warns, and a q @ q that overflows is outside
-        if float(np.vdot(q, q)) < math.inf and float(np.sum(q**2)) <= 1.0:
-            return x.copy()
+        q = w / a
+        if dot_last(q, q) <= 1.0:
+            return x
         a2 = a * a
         t = _secular_root(a * w, a2)
         return self.center + (a2 * w) / (a2 + t)
@@ -428,8 +453,8 @@ class Ellipsoid(ConvexSet):
         scale, and p - c = w / (1 + t / a^2) takes both limits.
         """
         a = self.axes
-        if (np.abs(w) <= a).all() and float(np.sum((w / a) ** 2)) <= 1.0:  # no ratio above 1
-            return x.copy()
+        if (np.abs(w) <= a).all() and dot_last(w / a, w / a) <= 1.0:  # no ratio above 1
+            return x
         e = int((np.frexp(a)[1] + np.frexp(w)[1])[w != 0].max()) // 2
         a, w = np.ldexp(a, -e), np.ldexp(w, -e)
         with np.errstate(over="ignore", divide="ignore"):
@@ -439,7 +464,7 @@ class Ellipsoid(ConvexSet):
 
     def sample(self, rng):
         u = rng.standard_normal(self.dim)
-        nu = float(np.linalg.norm(u))
+        nu = norm(u.tolist())
         if nu == 0.0:
             return self.center.copy()
         r = rng.random() ** (1.0 / self.dim)
@@ -453,18 +478,20 @@ def _secular_root(aw, a2):
     # of the root climbs to it monotonically.  Every |v_i| <= 1 at the
     # root, so the start t_0 lies left of it.
     t = max(0.0, float((np.abs(aw) - a2).max()))
-    lo, hi = t, math.sqrt(float(np.vdot(aw, aw)))  # s(hi) < 1, hi = inf past overflow
+    lo, hi = t, math.sqrt(dot_last(aw, aw))  # s(hi) < 1, hi = inf past overflow
     for _ in range(_SECULAR_MAX_ITER):
         d = a2 + t
         r = aw / d
-        s = float(r @ r)  # ||v(t)||^2
+        r2 = r * r
+        # both sums in index order, as dot_last adds them
+        s = float(np.add.accumulate(r2)[-1])  # ||v(t)||^2
         if abs(s - 1.0) <= _SECULAR_TOL:
             break
         if s > 1.0:
             lo = t
         else:
             hi = t
-        q = float(r @ (r / d))  # -s'(t) / 2
+        q = float(np.add.accumulate(r2 / d)[-1])  # -s'(t) / 2
         t_new = t + s * (math.sqrt(s) - 1.0) / q
         t = t_new if lo < t_new < hi else 0.5 * (lo + hi)
     else:
@@ -472,6 +499,11 @@ def _secular_root(aw, a2):
             f"secular residual {s - 1.0:.3e} after {_SECULAR_MAX_ITER} iterations"
         )
     return t
+
+
+def _on_row(project):
+    """A ``_project`` that takes one 1-D array row."""
+    return lambda row: project(row.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,7 +539,7 @@ class Family:
         (rows, project) pairs: ``project(y[rows])`` projects those rows of a
         stacked (m, d) point.  A type with at least ``_batch_rows`` sets gets
         one pair, its ``_kernel`` over an index array; every other set keeps
-        its ``_project`` and an int row.
+        its ``_project``, on the list of an int row.
         """
         groups = {}
         for i, s in enumerate(self.sets):
@@ -517,7 +549,7 @@ class Family:
             if len(rows) >= cls._batch_rows:
                 blocks.append((np.array(rows), cls._kernel([self.sets[i] for i in rows])))
             else:
-                blocks.extend((i, self.sets[i]._project) for i in rows)
+                blocks.extend((i, _on_row(self.sets[i]._project)) for i in rows)
         return tuple(blocks)
 
     def __getstate__(self):
@@ -543,7 +575,7 @@ def contains(s: ConvexSet, x, tol: float) -> bool:
     if tol < 0.0:
         raise ValueError("tolerance must be >= 0")
     x = as_vector(x, s.dim)
-    return float(np.linalg.norm(x - s.project(x))) <= tol
+    return norm((x - s.project(x)).tolist()) <= tol
 
 
 def from_descriptor(desc: dict) -> ConvexSet:

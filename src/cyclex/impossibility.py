@@ -32,6 +32,7 @@ from .errors import (
 )
 from .geometry import Family, Segment, Singleton, as_vector
 from .product import OBJECTIVES, as_product_point, solve_projected_gradient, stack_size
+from .sums import dot, dot_last, norm
 from .sweep import Cycle, run_periodic
 
 _COLLINEAR_RTOL = 1e-12
@@ -72,9 +73,8 @@ class SpiralSpec:
     @property
     def alpha(self) -> float:
         """Angle between target and start, in [0, pi]."""
-        nx = float(np.linalg.norm(self.target))
-        ny = float(np.linalg.norm(self.start))
-        c = float(self.target @ self.start) / (nx * ny)
+        x, y = self.target.tolist(), self.start.tolist()
+        c = dot(x, y) / (norm(x) * norm(y))
         return math.acos(min(1.0, max(-1.0, c)))
 
 
@@ -88,8 +88,8 @@ def spiral(spec: SpiralSpec):
     collinear with the target at norm ||start|| * cos(alpha/n)^n.
     """
     x, y, n = spec.target, spec.start, spec.n
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
+    nx = norm(x.tolist())
+    ny = norm(y.tolist())
     if nx == 0.0:
         raise DegenerateInput("inner target must be nonzero")
     if nx >= ny:
@@ -98,9 +98,9 @@ def spiral(spec: SpiralSpec):
         )
 
     e1 = y / ny
-    along = float(x @ e1)
+    along = dot(x.tolist(), e1.tolist())
     residual = x - along * e1
-    n_res = float(np.linalg.norm(residual))
+    n_res = norm(residual.tolist())
 
     if n_res <= _COLLINEAR_RTOL * nx:
         if along > 0.0:
@@ -111,9 +111,9 @@ def spiral(spec: SpiralSpec):
             raise AntipodalAmbiguity(
                 "start and target are antipodal; supply a plane direction to break the tie"
             )
-        hint = spec.plane - float(spec.plane @ e1) * e1
-        n_hint = float(np.linalg.norm(hint))
-        if n_hint <= _COLLINEAR_RTOL * float(np.linalg.norm(spec.plane)):
+        hint = spec.plane - dot(spec.plane.tolist(), e1.tolist()) * e1
+        n_hint = norm(hint.tolist())
+        if n_hint <= _COLLINEAR_RTOL * norm(spec.plane.tolist()):
             raise AntipodalAmbiguity("plane direction is collinear with the start")
         e2 = hint / n_hint
         alpha = math.pi
@@ -139,7 +139,7 @@ def spiral(spec: SpiralSpec):
         qs[k] = q
     points = np.outer(ps, e1) + np.outer(qs, e2)
     points[0] = y
-    return points, float(np.linalg.norm(points[n]))
+    return points, norm(points[n].tolist())
 
 
 def orthogonal_completion(z: np.ndarray) -> np.ndarray:
@@ -158,7 +158,7 @@ def orthogonal_completion(z: np.ndarray) -> np.ndarray:
     w = np.zeros_like(z)
     w[i] = -z[j]
     w[j] = z[i]
-    return w / float(np.linalg.norm(w))
+    return w / norm(w.tolist())
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ class DegenerateFamilies:
 
 def _check_unit_rho(z, rho: float):
     z = as_vector(z)
-    if abs(float(np.linalg.norm(z)) - 1.0) > UNIT_NORM_TOL:
+    if abs(norm(z.tolist()) - 1.0) > UNIT_NORM_TOL:
         raise InvalidUnitVector(f"z must have unit norm to {UNIT_NORM_TOL:g}")
     if not (rho > 1.0):
         raise InvalidRho("rho must exceed 1")
@@ -214,9 +214,7 @@ def degenerate_families(
             for _ in range(5):
                 x0 = rng.uniform(-10.0, 10.0, size=d)
                 _, got = run_periodic(fam, x0)
-                drift = max(
-                    float(np.linalg.norm(a - b)) for a, b in zip(got.points, cyc.points)
-                )
+                drift = max(norm((a - b).tolist()) for a, b in zip(got.points, cyc.points))
                 if drift > 1e-10:
                     raise RuntimeError(f"periodic run drifted {drift:.3e} from the cycle")
     return DegenerateFamilies(fam_pos, fam_neg, cyc_pos, cyc_neg)
@@ -273,9 +271,9 @@ def _perimeter(y):
 
 
 def _tuple_norm(y):
-    # a 1 x md by md x 1 matmul runs the dot loop of np.linalg.norm(tuple)
-    flat = y.reshape(*y.shape[:-2], 1, -1)
-    return np.sqrt((flat @ flat.swapaxes(-1, -2))[..., 0, 0])
+    # the in-order norm of the flattened tuple, row by row
+    flat = y.reshape(*y.shape[:-2], -1)
+    return np.sqrt(dot_last(flat, flat))
 
 
 def _objective_candidate(objective):
@@ -464,8 +462,7 @@ def write_spiral_csv(points: np.ndarray, out) -> None:
 
     def columns(start, stop):
         block = points[start:stop]
-        # a 1 x d by d x 1 matmul runs the dot kernel of np.linalg.norm(row)
-        norms = np.sqrt((block[:, None, :] @ block[:, :, None]).ravel())
+        norms = np.sqrt(dot_last(block, block))  # each row's in-order norm
         return [range(start, stop), *block.T.tolist(), norms.tolist()]
 
     header = ["k"] + [f"x_{j}" for j in range(d)] + ["norm"]

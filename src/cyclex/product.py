@@ -19,6 +19,7 @@ from .config import SolverConfig
 from .csvio import reused_texts, write_csv
 from .errors import BlockCountMismatch, DimensionMismatch, InvalidStepSize, NotConverged, TooFewSets
 from .geometry import Family, as_vector
+from .sums import dot_last, norm
 
 # the point each block of a parallel sweep projects, by variant
 _PARALLEL_TARGETS = {
@@ -99,13 +100,13 @@ class PairwiseSquared:
 
     def value(self, y: np.ndarray):
         """Phi at an (m, d) tuple, or an array of Phi over a (..., m, d) stack."""
-        # Bit-identical to summing float(d @ d) over i < j in a double loop:
-        # batched matmul of 1 x d by d x 1 runs the same dot kernel as d @ d,
-        # and add.accumulate (cumsum) adds the terms strictly in order (a sum
+        # Bit-identical to summing the in-order d . d over i < j in a double
+        # loop: dot_last adds each pair's squares in that order, and
+        # add.accumulate (cumsum) adds the terms strictly in order (a sum
         # would pair them).
         i, j = self._pairs
         d = y.take(i, axis=-2) - y.take(j, axis=-2)
-        terms = (d[..., None, :] @ d[..., :, None])[..., 0, 0]
+        terms = dot_last(d, d)
         return _scalar(np.add.accumulate(terms, axis=-1)[..., -1]) / (2.0 * (self.m - 1.0))
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
@@ -283,7 +284,7 @@ def _iterate(family, x, target_of, step, obj, cfg, label) -> ProductSolution:
         stationarity = _max_block_norm(proj - x)
         x_new = step(n, x, proj)
         move = (x_new - x).ravel()
-        displacement = math.sqrt(move.dot(move))  # np.linalg.norm(x_new - x), without its wrapper
+        displacement = math.sqrt(dot_last(move, move))
         x = x_new
         iterates.append(x)
         moves.append((displacement, stationarity))
@@ -348,7 +349,7 @@ def fair_point_residual(family: Family, y) -> float:
     """
     v = as_vector(y, family.dim)
     mean = project_blocks(family, np.broadcast_to(v, (family.m, family.dim))).mean(axis=0)
-    return float(np.linalg.norm(v - mean))
+    return norm((v - mean).tolist())
 
 
 def fixpoint_check(family: Family, blocks):
@@ -362,8 +363,8 @@ def fixpoint_check(family: Family, blocks):
     y = as_product_point(blocks, m=family.m, dim=family.dim)
     z = diagonal_project(y)
     pcz = project_blocks(family, z)
-    r1 = float(np.linalg.norm(y - pcz))
-    r2 = float(np.linalg.norm(z - diagonal_project(pcz)))
+    r1 = norm((y - pcz).ravel().tolist())
+    r2 = norm((z - diagonal_project(pcz)).ravel().tolist())
     return r1, r2
 
 

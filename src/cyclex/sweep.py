@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from operator import sub
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,6 +19,7 @@ from .config import SolverConfig
 from .csvio import write_csv
 from .errors import LengthMismatch, NotConverged
 from .geometry import Family, as_vector
+from .sums import norm
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ def sweep_once(family: Family, x, order: Optional[Sequence[int]] = None):
     application order.  ``order`` lists 0-based set indices; the default
     applies set m-1 first, then m-2, ..., then set 0.
     """
-    x = as_vector(x, family.dim)
+    x = as_vector(x, family.dim).tolist()
     if order is None:
         order = default_order(family.m)
     else:
@@ -90,8 +92,8 @@ def sweep_once(family: Family, x, order: Optional[Sequence[int]] = None):
     intermediates = []
     for i in order:
         x = sets[i]._project(x)
-        intermediates.append(x)
-    return x, intermediates
+        intermediates.append(np.array(x))
+    return intermediates[-1], intermediates
 
 
 def cycle_residual(family: Family, points) -> float:
@@ -100,13 +102,13 @@ def cycle_residual(family: Family, points) -> float:
     Zero exactly on cycles; otherwise the worst defect of the cycle
     relations over the family.
     """
-    pts = [as_vector(p, family.dim) for p in points]
+    pts = [as_vector(p, family.dim).tolist() for p in points]
     if len(pts) != family.m:
         raise LengthMismatch(f"expected {family.m} points, got {len(pts)}")
     worst = 0.0
     for i in range(family.m):
         succ = pts[(i + 1) % family.m]
-        gap = float(np.linalg.norm(pts[i] - family.sets[i]._project(succ)))
+        gap = norm(list(map(sub, pts[i], family.sets[i]._project(succ))))
         if gap > worst:
             worst = gap
     return worst
@@ -135,29 +137,31 @@ def run_periodic(family: Family, x0, cfg: Optional[SolverConfig] = None):
     m = family.m
     chain = [family.sets[i]._project for i in default_order(m)]
     sweep_tol = cfg.sweep_tol
-    x = start
-    rows = []
+    x = start.tolist()
+    flat = []  # the coordinates of every projection output, in order
+    record = flat.extend
     stop_reason = "max_iterations"
     sweeps_used = 0
     for n in range(cfg.max_sweeps):
         x_prev = x
         for project in chain:
             x = project(x)
-            rows.append(x)
+            record(x)
         sweeps_used = n + 1
-        step = x - x_prev
-        displacement = math.sqrt(float(step @ step))
+        displacement = norm(list(map(sub, x, x_prev)))
         if displacement <= sweep_tol:
             stop_reason = "converged"
             break
         if not math.isfinite(displacement):
             as_vector(x)  # raises ValueError when the iterate is not finite
-    cycle = Cycle.from_points(family, tuple(reversed(rows[-m:])))
+    iterates = np.array(flat).reshape(-1, family.dim)
+    # the last sweep's outputs, read back to front, as copies apart from iterates
+    cycle = Cycle.from_points(family, iterates[-m:][::-1].copy())
     if stop_reason == "converged" and cycle.residual > cfg.cycle_tol:
         stop_reason = "certificate_failed"
     trajectory = Trajectory(
         start=start,
-        iterates=np.array(rows),
+        iterates=iterates,
         stop_reason=stop_reason,
         sweeps_used=sweeps_used,
     )
@@ -181,7 +185,7 @@ def min_distance_pair(c1, c2, x0, cfg: Optional[SolverConfig] = None):
     family = Family((c1, c2))
     _, cycle = run_periodic(family, x0, cfg)
     y1, y2 = cycle.points
-    return (y1, y2), float(np.linalg.norm(y1 - y2))
+    return (y1, y2), norm((y1 - y2).tolist())
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:

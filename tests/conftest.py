@@ -194,15 +194,27 @@ def equilateral_ball_family_oracle(centers, radius):
     return np.asarray(blocks), t
 
 
+def dot_in_order(u, v):
+    """u . v as the literal loop on Python floats: the first product, then
+    each further product added in index order.  cyclex defines every dot
+    product and norm by this one order, so that IEEE-754 alone fixes their
+    bits (a BLAS dot picks its own order per CPU)."""
+    u, v = np.asarray(u, float).tolist(), np.asarray(v, float).tolist()
+    total = u[0] * v[0]
+    for a, b in zip(u[1:], v[1:]):
+        total += a * b
+    return total
+
+
 def pairwise_squared_loop(y):
     """Pairwise objective as the literal double loop over i < j, summed left
-    to right from 0.0 with one dot product per pair."""
+    to right from 0.0 with one in-order dot product per pair."""
     m = y.shape[0]
     total = 0.0
     for i in range(m):
         for j in range(i + 1, m):
             d = y[i] - y[j]
-            total += float(d @ d)
+            total += dot_in_order(d, d)
     return total / (2.0 * (m - 1.0))
 
 
@@ -230,13 +242,14 @@ CANDIDATE_FORMULAS = {
     "pairwise2": pairwise_squared_loop,
     "cyclic2": cyclic_squared_formula,
     "constant": lambda y: 0.0,
-    "tuple_norm": lambda y: np.linalg.norm(y),
+    "tuple_norm": lambda y: math.sqrt(dot_in_order(y.ravel(), y.ravel())),
 }
 
 
 def project_rows_loop(family, y):
-    """The blockwise projection row by row: one ``_project`` call per block."""
-    return np.array([s._project(row) for s, row in zip(family.sets, y)])
+    """The blockwise projection row by row: one ``_project`` call per block,
+    on the block's list of Python floats."""
+    return np.array([s._project(row) for s, row in zip(family.sets, y.tolist())])
 
 
 def csv_writer_bytes(header, rows):

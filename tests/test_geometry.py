@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import VARIANTS, ellipse_boundary_oracle, ellipsoid_kkt_defects, make_set
+from conftest import VARIANTS, dot_in_order, ellipse_boundary_oracle, ellipsoid_kkt_defects, make_set
 from cyclex import (
     AffineSubspace,
     Ball,
@@ -23,6 +23,7 @@ from cyclex import (
     from_descriptor,
     min_norm_point,
     project,
+    project_blocks,
 )
 
 coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -274,6 +275,34 @@ def test_ball_projects_points_whose_squared_norm_overflows():
     assert np.allclose(far, [1 - math.sqrt(2), 2, 3 + math.sqrt(2)], rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "center, radius, x, nearest, distance",
+    [
+        # ||x - c|| is 2e308, 2e308 and sqrt(5) 1e308: x - c itself overflows
+        ([-1e308, 0.0], 1.0, [1e308, 0.0], [-1e308 + 1.0, 0.0], 2.0),
+        ([1e308, 1e308], 1.0, [-1e308, 1e308], [1e308 - 1.0, 1e308], 2.0),
+        (
+            [-1e308, 0.0],
+            1e300,
+            [1e308, 1e308],
+            [-1e308 + 2e300 / math.sqrt(5), 1e300 / math.sqrt(5)],
+            math.sqrt(5),
+        ),
+    ],
+)
+def test_ball_projects_points_whose_difference_overflows(center, radius, x, nearest, distance):
+    # the nearest point, finite and without a warning, alone and in a batched
+    # group; distance is ||x - c|| / 1e308, which does not overflow
+    ball = Ball(center, radius)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = project(ball, x)
+        batched = project_blocks(Family((ball,) * 4), np.array([x] * 4))
+    assert np.isfinite(got).all()
+    assert np.abs(got - nearest).max() <= 1e-12 * distance * 1e308
+    assert np.array_equal(batched, np.array([got] * 4))
+
+
 def test_ellipsoid_projects_far_points_without_overflow_warnings():
     # the interior test (w / a)^2 and the Newton bracket a w @ a w overflow here;
     # the pytest configuration turns any numpy warning into an error
@@ -396,11 +425,11 @@ def test_ray_and_segment_keep_their_formula_in_the_normal_range(seed, dim, expon
     u, a, b = (scale * rng.uniform(-1, 1, dim) for _ in range(3))
     x = scale * rng.uniform(-2, 2, dim)
     if np.any(u != 0):
-        t = float(x @ u) / float(u @ u)
+        t = dot_in_order(x, u) / dot_in_order(u, u)
         want = np.zeros(dim) if t <= 0.0 else t * u
         assert project(Ray(u), x).tolist() == want.tolist()
     d = b - a
-    t = float((x - a) @ d) / float(d @ d)
+    t = dot_in_order(x - a, d) / dot_in_order(d, d)
     want = a if t <= 0.0 else b if t >= 1.0 else a + t * d
     assert project(Segment(a, b), x).tolist() == want.tolist()
 
