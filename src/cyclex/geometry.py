@@ -1,12 +1,13 @@
 """Exact nearest-point projections onto a catalog of closed convex sets.
 
-At the public boundary points are 1-D float64 numpy arrays; inside, the
-projection kernels take and return lists of Python floats, with every
-dot product added in the one order of ``cyclex.sums``.  A set variant is
-declared by its dataclass fields: the shared ``__post_init__`` stores
-each vector field read-only, all of the first one's length (the set's
-``dim``), next to a tuple of its Python floats, and the variant adds only
-its own rules.  Every variant exposes ``project``,
+At the public boundary points are 1-D float64 numpy arrays; inside, all
+eight projection kernels take and return lists of Python floats, with
+every dot product added in the one order of ``cyclex.sums``, and one
+range rule (``ConvexSet``) gives any finite input its nearest point.  A
+variant is declared by its dataclass fields: the shared ``__post_init__``
+stores each vector field read-only, all of the first one's length (the
+set's ``dim``), next to a tuple of its Python floats, and the variant
+adds only its own rules.  Every variant exposes ``project``,
 a membership ``sample`` used by probe-style tests, and a JSON
 ``descriptor`` round-trip built from the same fields; ``from_descriptor``
 finds the class by the descriptor's ``type`` in one registry.
@@ -17,9 +18,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
-from functools import cached_property
-from itertools import repeat
-from operator import add, mul, sub
+from functools import cached_property, reduce
+from itertools import chain, repeat
+from operator import add, mul, sub, truediv
 
 import numpy as np
 
@@ -34,12 +35,23 @@ _SECULAR_TOL = 1e-13
 _SECULAR_MAX_ITER = 200
 
 Rows = np.ndarray  # a 2-D array of row vectors, left to its variant
+Direction = np.ndarray  # a vector field that does not scale with the set
 
 # Ball._kernel projects a group of balls from this many rows up, the row
 # loop below it.  Best of 7 x 3000 calls per case, d = 2..4 (numpy 2.4.6,
 # 2-vCPU VM): the kernel costs 10-18 us whatever the row count, the row
 # loop 6-10 us for two rows, 8-14 for three and 11-18 for four.
 _BALL_BATCH_ROWS = 4
+
+
+def _top_exponent(values) -> int:
+    """The e that brings the largest |value| into [0.5, 1) when scaled by 2^-e."""
+    return math.frexp(max(map(abs, values)))[1]
+
+
+def _pow2(v, e) -> float:
+    """v * 2^e in two in-range factors: exact outside the subnormal range, +-inf past it."""
+    return v * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
 
 
 def as_vector(x, dim=None) -> np.ndarray:
@@ -70,8 +82,13 @@ class ConvexSet:
     ``project`` takes and returns a 1-D float64 array.  Its kernel
     ``_project`` takes a list of dim Python floats and returns the nearest
     point as a list of Python floats, which may be its input; neither list
-    is changed afterwards.  Each vector field ``name`` also lives as a
-    tuple of Python floats in ``_name`` for the kernels.
+    is changed afterwards.  Each converted field ``name`` also lives as
+    ``_name`` for the kernels, a vector as a tuple of Python floats; a
+    ``Direction`` there is scaled to a largest coordinate in [0.5, 1).  A
+    kernel whose range test fails (a squared norm out of range, a t or k
+    not finite) returns ``_rescaled(x)`` = 2^e P_{2^-e C}(2^-e x), where
+    ``_exponent`` brings the largest coordinate of x and of every field but
+    a direction into [0.5, 1); the copy's kernel (``_scaled``) runs to the end.
 
     A variant with a closed form may add ``_kernel(sets)``, one batched
     projection of stacked rows, row i onto ``sets[i]`` (all of its type),
@@ -84,18 +101,24 @@ class ConvexSet:
     dim: int
     bounded: bool
     _batch_rows = math.inf
+    _scaled = False
 
     def __post_init__(self):
         first = self._converted[0][0]
-        for name, vector in self._converted:
+        for name, vector, scales in self._converted:
             value = _frozen(getattr(self, name), name) if vector else float(getattr(self, name))
             if name == first:
                 object.__setattr__(self, "dim", value.shape[0])
             elif vector and value.shape[0] != self.dim:
                 raise DimensionMismatch(f"{name} must match the dimension of {first}")
             object.__setattr__(self, name, value)
-            if vector:
-                object.__setattr__(self, "_" + name, tuple(value.tolist()))
+            own = value.tolist() if vector else value
+            if not scales:
+                if not any(own):
+                    raise ValueError(f"{name} must be nonzero")
+                e = _top_exponent(own)
+                own = [math.ldexp(v, -e) for v in own]
+            object.__setattr__(self, "_" + name, tuple(own) if vector else own)
 
     def project(self, x) -> np.ndarray:
         """Nearest point of the set to ``x``."""
@@ -103,6 +126,19 @@ class ConvexSet:
 
     def _project(self, x: list) -> list:
         raise NotImplementedError
+
+    def _exponent(self, x) -> int:
+        own = [(getattr(self, "_" + name), vector) for name, vector in self._lengths]
+        return _top_exponent(chain(x, *(v if vector else [v] for v, vector in own)))
+
+    def _rescaled(self, x):
+        e = self._exponent(x)
+        copy = object.__new__(type(self))
+        vars(copy).update(vars(self), _scaled=True)
+        for name, vector in self._lengths:
+            own = getattr(self, "_" + name)
+            vars(copy)["_" + name] = tuple(math.ldexp(v, -e) for v in own) if vector else math.ldexp(own, -e)
+        return [_pow2(p, e) for p in copy._project([math.ldexp(v, -e) for v in x])]
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """A random member of the set (distribution unspecified)."""
@@ -128,16 +164,17 @@ def _variant(type_name):
     """Declare a set variant, a frozen dataclass registered under ``type_name``.
 
     ``_fields`` names its fields in order.  ``ConvexSet.__post_init__``
-    converts the fields whose annotation reads ``np.ndarray`` (the first
-    field is one) or ``float``, listed in order in ``_converted`` as (name,
-    is vector) pairs; the variant converts the rest.
+    converts the fields annotated ``np.ndarray`` (the first field is one),
+    ``Direction`` or ``float``, listed in order in ``_converted`` as (name,
+    is vector, scales) triples; the variant converts the rest.
     """
 
     def declare(cls):
         cls = dataclass(frozen=True, eq=False)(cls)
-        kinds = {"np.ndarray": True, "float": False}
+        kinds = {"np.ndarray": (True, True), "Direction": (True, False), "float": (False, True)}
         cls._fields = tuple(f.name for f in fields(cls))
-        cls._converted = tuple((f.name, kinds[f.type]) for f in fields(cls) if f.type in kinds)
+        cls._converted = tuple((f.name, *kinds[f.type]) for f in fields(cls) if f.type in kinds)
+        cls._lengths = tuple((name, vector) for name, vector, scales in cls._converted if scales)
         cls._type_name = type_name
         _SET_TYPES[type_name] = cls
         return cls
@@ -175,16 +212,10 @@ class Segment(ConvexSet):
         w = list(map(sub, x, a))
         dd = dot(d, d)
         t = dot(w, d) / dd if _TINY <= dd < math.inf else math.nan
-        if not math.isfinite(t):
-            # d . d left the normal range or w . d overflowed: with d scaled
-            # to a largest coordinate of 1, t = (w . d') / (d' . d') / scale
-            scale = max(map(abs, d))
-            if scale == 0.0:
-                return list(a)
-            d1 = [di / scale for di in d]
-            t = dot(w, d1) / dot(d1, d1) / scale
-        # clamped parameters return the stored endpoint bit-exactly
-        if t <= 0.0:
+        if not (math.isfinite(t) or self._scaled):
+            return self._rescaled(x)
+        # clamped parameters, and a = b in the copy of _rescaled, return a stored endpoint bit-exactly
+        if not t > 0.0:
             return list(a)
         if t >= 1.0:
             return list(self._b)
@@ -199,25 +230,15 @@ class Segment(ConvexSet):
 class Ray(ConvexSet):
     """The ray {t * direction : t >= 0} anchored at the origin."""
 
-    direction: np.ndarray
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (self.direction != 0.0).any():
-            raise ValueError("direction must be nonzero")
+    direction: Direction
 
     bounded = False
 
     def _project(self, x):
         u = self._direction
-        uu = dot(u, u)
-        t = dot(x, u) / uu if _TINY <= uu < math.inf else math.nan
-        if not math.isfinite(t):
-            # u . u left the normal range or x . u overflowed: scaling u to a
-            # largest coordinate of 1 leaves the ray unchanged
-            scale = max(map(abs, u))
-            u = [ui / scale for ui in u]
-            t = dot(x, u) / dot(u, u)
+        t = dot(x, u) / dot(u, u)
+        if not (math.isfinite(t) or self._scaled):
+            return self._rescaled(x)
         if t <= 0.0:
             return [0.0] * self.dim
         return [t * ui for ui in u]
@@ -244,17 +265,14 @@ class Ball(ConvexSet):
     def _project(self, x):
         c = self._center
         w = list(map(sub, x, c))
-        n = norm(w)
-        if n <= self.radius:
+        ww = dot(w, w)
+        # a w . w that underflows is inside a ball of radius^2 in range
+        if not (_TINY <= ww < math.inf or ww < _TINY <= self._radius * self._radius or self._scaled):
+            return self._rescaled(x)
+        n = math.sqrt(ww)
+        if n <= self._radius:
             return x
-        if n == math.inf:
-            # x - c or w . w overflowed: the direction of x - c from x and c
-            # scaled by one power of two, which no finite input overflows
-            e = -math.frexp(max(max(map(abs, x)), max(map(abs, c))))[1]
-            w = [math.ldexp(xi, e) - math.ldexp(ci, e) for xi, ci in zip(x, c)]
-            n = norm(w)
-            return [ci + self.radius * (wi / n) for ci, wi in zip(c, w)]
-        return list(map(add, c, map(mul, repeat(self.radius / n), w)))
+        return list(map(add, c, map(mul, repeat(self._radius / n), w)))
 
     @classmethod
     def _kernel(cls, sets):
@@ -262,10 +280,10 @@ class Ball(ConvexSet):
         radii = np.array([s.radius for s in sets])
 
         def project_rows(x):
-            # dot_last adds each row's squares in the order of _project; an
-            # overflow sends the rows there
+            # dot_last adds each row's squares in the order of _project; a
+            # square that overflows or underflows sends the rows there
             try:
-                with np.errstate(over="raise"):
+                with np.errstate(over="raise", under="raise"):
                     w = x - centers
                     n = np.sqrt(dot_last(w, w))
             except FloatingPointError:
@@ -320,36 +338,27 @@ class Box(ConvexSet):
 
 @_variant("halfspace")
 class Halfspace(ConvexSet):
-    """The halfspace {y : <normal, y> <= offset}."""
+    """The halfspace {y : <normal, y> <= offset}; ``_offset`` scales with ``_normal``."""
 
-    normal: np.ndarray
+    normal: Direction
     offset: float
 
     def __post_init__(self):
         super().__post_init__()
-        if not (self.normal != 0.0).any():
-            raise ValueError("normal must be nonzero")
         if not math.isfinite(self.offset):
             raise ValueError("offset must be finite")
+        object.__setattr__(self, "_offset", _pow2(self.offset, -_top_exponent(self.normal.tolist())))
 
     bounded = False
 
     def _project(self, x):
         u = self._normal
-        s = dot(u, x) - self.offset
+        s = dot(u, x) - self._offset
         if s <= 0.0:
             return x
-        uu = dot(u, u)
-        if not (_TINY <= uu < math.inf and math.isfinite(s)):
-            # u . u or s overflowed, or u . u lost precision below the normal
-            # range: scale u to a largest coordinate of 1 (and the offset with it)
-            scale = max(map(abs, u))
-            u = [ui / scale for ui in u]
-            s = dot(u, x) - self.offset / scale
-            if s <= 0.0:
-                return x
-            uu = dot(u, u)
-        k = s / uu
+        k = s / dot(u, u)
+        if not (math.isfinite(k) or self._scaled):
+            return self._rescaled(x)
         return [xi - k * ui for xi, ui in zip(x, u)]
 
     def sample(self, rng):
@@ -385,13 +394,17 @@ class AffineSubspace(ConvexSet):
             raise ValueError(f"basis rows must be orthonormal to {ORTHONORMAL_TOL:g}")
         b.flags.writeable = False
         object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "_basis", tuple(map(tuple, b.tolist())))
 
     bounded = False
 
     def _project(self, x):
         # anchor + B^T (B (x - anchor)), each sum of products in index order
-        coef = dot_last(self.basis, np.array(x) - self.anchor)
-        return (self.anchor + dot_last(self.basis.T, coef)).tolist()
+        w = list(map(sub, x, self._anchor))
+        coef = [dot(row, w) for row in self._basis]
+        if not (all(map(math.isfinite, coef)) or self._scaled):
+            return self._rescaled(x)
+        return [ai + dot(column, coef) for ai, column in zip(self._anchor, zip(*self._basis))]
 
     def sample(self, rng):
         t = 5.0 * rng.standard_normal(self.basis.shape[0])
@@ -411,9 +424,8 @@ class Ellipsoid(ConvexSet):
     t_0 = max(0, max_i(a_i |w_i| - a_i^2)) and kept inside a bisection
     bracket, until the secular residual is at most 1e-13.
 
-    The solve runs under ``np.errstate(..., "raise")``; if an intermediate
-    overflows, ``_rescaled`` solves again with the point and the axes
-    scaled by one power of two.
+    Where an a_i^2 or ||a w||^2 leaves the normal range, ``_rescaled``
+    solves at the scale that brings the largest |a_i w_i| to about 1.
     """
 
     center: np.ndarray
@@ -423,44 +435,34 @@ class Ellipsoid(ConvexSet):
         super().__post_init__()
         if (self.axes <= 0.0).any():
             raise ValueError("axes must be positive")
+        object.__setattr__(self, "_normal_axes", all(_TINY <= a * a < math.inf for a in self._axes))
 
     bounded = True
 
     def _project(self, x):
-        x = np.array(x)
-        w = x - self.center
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return self._plain(x, w).tolist()
-        except FloatingPointError:
-            return self._rescaled(x, w).tolist()
+        c, a = self._center, self._axes
+        w = list(map(sub, x, c))
+        if not self._scaled:  # the copy projects a point found outside; its axes may be 0
+            q = list(map(truediv, w, a))
+            if dot(q, q) <= 1.0:
+                return x
+        a2 = list(map(mul, a, a))
+        aw = list(map(mul, a, w))
+        hh = dot(aw, aw)
+        # a^2 w stays finite where both a^2 and a w @ a w do
+        if not (self._normal_axes and _TINY <= hh < math.inf or self._scaled):
+            return self._rescaled(x)
+        t = _secular_root(aw, a2, math.sqrt(hh))
+        if self._scaled:
+            # this takes the limits of unbounded (a^2 = inf) and flat (a^2 = 0) axes
+            return [ci + (wi / (1.0 + t / a2i) if a2i else 0.0) for ci, wi, a2i in zip(c, w, a2)]
+        return [ci + a2i * wi / (a2i + t) for ci, a2i, wi in zip(c, a2, w)]
 
-    def _plain(self, x, w):
-        a = self.axes
-        q = w / a
-        if dot_last(q, q) <= 1.0:
-            return x
-        a2 = a * a
-        t = _secular_root(a * w, a2)
-        return self.center + (a2 * w) / (a2 + t)
-
-    def _rescaled(self, x, w):
-        """The projection when the plain solve overflows.
-
-        The multiplier t scales as a^2: with w and a scaled by 2^-e so that
-        the largest |a_i w_i| is about 1, t is found in range.  An axis whose
-        square then overflows (underflows) is unbounded (flat) at that
-        scale, and p - c = w / (1 + t / a^2) takes both limits.
-        """
-        a = self.axes
-        if (np.abs(w) <= a).all() and dot_last(w / a, w / a) <= 1.0:  # no ratio above 1
-            return x
-        e = int((np.frexp(a)[1] + np.frexp(w)[1])[w != 0].max()) // 2
-        a, w = np.ldexp(a, -e), np.ldexp(w, -e)
-        with np.errstate(over="ignore", divide="ignore"):
-            a2 = a * a
-            t = _secular_root(a * w, a2)
-            return self.center + np.ldexp(w / (1.0 + t / a2), e)
+    def _exponent(self, x):
+        # t scales as a^2: the largest |a_i w_i| (w halved is finite) goes to about 1
+        pairs = zip(self._axes, (xi / 2.0 - ci / 2.0 for xi, ci in zip(x, self._center)))
+        e = max(((math.frexp(ai)[1] + math.frexp(wi)[1] + 1) // 2 for ai, wi in pairs if wi), default=-math.inf)
+        return max(e, super()._exponent(x) - 1023)
 
     def sample(self, rng):
         u = rng.standard_normal(self.dim)
@@ -471,28 +473,26 @@ class Ellipsoid(ConvexSet):
         return self.center + self.axes * (r / nu) * u
 
 
-def _secular_root(aw, a2):
+def _secular_root(aw, a2, hi):
     """The multiplier t of an exterior point c + w and an ellipsoid of axes
-    a centered at c (see ``Ellipsoid``), from aw = a * w and a2 = a * a."""
+    a centered at c (see ``Ellipsoid``), from aw = a w, a2 = a^2, hi = ||a w||."""
     # 1/||v(t)|| is concave and increasing, so Newton on psi from left
     # of the root climbs to it monotonically.  Every |v_i| <= 1 at the
-    # root, so the start t_0 lies left of it.
-    t = max(0.0, float((np.abs(aw) - a2).max()))
-    lo, hi = t, math.sqrt(dot_last(aw, aw))  # s(hi) < 1, hi = inf past overflow
+    # root, so the start t_0 lies left of it, and s(hi) < 1.
+    lo = t = max(0.0, max(map(sub, map(abs, aw), a2)))
     for _ in range(_SECULAR_MAX_ITER):
-        d = a2 + t
-        r = aw / d
-        r2 = r * r
-        # both sums in index order, as dot_last adds them
-        s = float(np.add.accumulate(r2)[-1])  # ||v(t)||^2
-        if abs(s - 1.0) <= _SECULAR_TOL:
+        d = [a2i + t or math.inf for a2i in a2]  # a flat axis (a^2 = 0) at t = 0 has term 0
+        r = list(map(truediv, aw, d))
+        r2 = list(map(mul, r, r))
+        s = reduce(add, r2)  # ||v(t)||^2
+        if abs(s - 1.0) <= _SECULAR_TOL or lo == hi:  # or the root lies within one float of t
             break
         if s > 1.0:
             lo = t
         else:
             hi = t
-        q = float(np.add.accumulate(r2 / d)[-1])  # -s'(t) / 2
-        t_new = t + s * (math.sqrt(s) - 1.0) / q
+        q = reduce(add, map(truediv, r2, d))  # -s'(t) / 2
+        t_new = t + s * (math.sqrt(s) - 1.0) / q if q else lo
         t = t_new if lo < t_new < hi else 0.5 * (lo + hi)
     else:
         raise EllipsoidNewtonFailure(

@@ -13,11 +13,13 @@ from cyclex import (
     Ball,
     Box,
     Ellipsoid,
+    EllipsoidNewtonFailure,
     Halfspace,
     Ray,
     Segment,
     Singleton,
 )
+from cyclex.sums import dot_last
 
 VARIANTS = (
     "singleton",
@@ -149,6 +151,68 @@ def ellipsoid_kkt_defects(ellipsoid: Ellipsoid, x, p):
     slack = rtol * norm(r) + 16 * eps * (norm(x) + norm(p) + mu * norm((abs(p) + abs(c)) / a**2))
     misalignment = float(norm(r - mu * g)) / slack
     return boundary, mu, misalignment
+
+
+def ellipsoid_plain_solve(ellipsoid: Ellipsoid, x):
+    """The projection of ``x`` onto an ellipsoid by the plain secular
+    solve (see ``cyclex.Ellipsoid``) written in numpy, or None where one of
+    its intermediates overflows, divides by zero or is invalid.
+
+    Its elementwise operations come in the kernel's order, and each sum
+    is an ``np.add.accumulate``, which adds in index order: where it
+    returns a point, the float kernel must return the same bits.
+    """
+    c, a = ellipsoid.center, ellipsoid.axes
+    x = np.asarray(x, float)
+    w = x - c
+
+    def total(v):
+        return float(np.add.accumulate(v)[-1])
+
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            q = w / a
+            if total(q * q) <= 1.0:
+                return x
+            a2, aw = a * a, a * w
+            t = max(0.0, float((np.abs(aw) - a2).max()))
+            lo, hi = t, math.sqrt(total(aw * aw))
+            for _ in range(200):
+                d = a2 + t
+                r2 = (aw / d) * (aw / d)
+                s = total(r2)
+                if abs(s - 1.0) <= 1e-13:
+                    break
+                if s > 1.0:
+                    lo = t
+                else:
+                    hi = t
+                t_new = t + s * (math.sqrt(s) - 1.0) / total(r2 / d)
+                t = t_new if lo < t_new < hi else 0.5 * (lo + hi)
+            else:
+                raise EllipsoidNewtonFailure(f"secular residual {s - 1.0:.3e} after 200 iterations")
+            return c + (a2 * w) / (a2 + t)
+    except FloatingPointError:
+        return None
+
+
+def affine_plain_formula(affine: AffineSubspace, x):
+    """anchor + B^T (B (x - anchor)) with numpy, each sum of products in
+    index order: the bits the affine kernel returns in the normal range."""
+    b, anchor = affine.basis, affine.anchor
+    return anchor + dot_last(b.T, dot_last(b, np.asarray(x, float) - anchor))
+
+
+def within_scaled(got, want, x, c, rtol=1e-12):
+    """Whether ||got - want|| <= rtol ||x - c||, both norms taken on the
+    points scaled by the power of two that brings the largest coordinate
+    of x and c into [0.5, 1), where neither norm overflows or underflows."""
+    e = math.frexp(float(np.max(np.abs([x, c]))))[1]
+
+    def scaled(v):
+        return np.ldexp(np.asarray(v, float), -e)
+
+    return np.linalg.norm(scaled(got) - scaled(want)) <= rtol * np.linalg.norm(scaled(x) - scaled(c))
 
 
 def central_difference_gradient(obj, y, h=1e-6):

@@ -321,6 +321,22 @@ class TestMain:
         assert code == 0
         assert capsys.readouterr().out.strip() == "1.0,0.0"
 
+    @pytest.mark.parametrize(
+        "descriptor, point, nearest",
+        [
+            ('{"type":"segment","a":[-1e308,0],"b":[1e308,0]}', "0,1", "0.0,0.0"),
+            ('{"type":"ray","direction":[1,1]}', "1e308,1e308", "1e+308,1e+308"),
+            ('{"type":"halfspace","normal":[1,1],"offset":0}', "1e308,1e308", "0.0,0.0"),
+            ('{"type":"affine","anchor":[1e308,0],"basis":[[1,0]]}', "-1e308,1", "-1e+308,0.0"),
+        ],
+        ids=["segment", "ray", "halfspace", "affine"],
+    )
+    def test_project_prints_the_nearest_point_of_badly_scaled_inputs(self, capsys, descriptor, point, nearest):
+        assert main(["project", "--set", descriptor, f"--point={point}"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip() == nearest
+        assert captured.err == ""
+
     def test_project_dimension_error(self, capsys):
         code = main(
             ["project", "--set", '{"type":"ball","center":[0,0],"radius":1}', "--point", "1,2,3"]

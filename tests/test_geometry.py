@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import VARIANTS, dot_in_order, ellipse_boundary_oracle, ellipsoid_kkt_defects, make_set
+from conftest import (
+    VARIANTS,
+    affine_plain_formula,
+    dot_in_order,
+    ellipse_boundary_oracle,
+    ellipsoid_kkt_defects,
+    ellipsoid_plain_solve,
+    make_set,
+    within_scaled,
+)
 from cyclex import (
     AffineSubspace,
     Ball,
@@ -288,19 +297,51 @@ def test_ball_projects_points_whose_squared_norm_overflows():
             [-1e308 + 2e300 / math.sqrt(5), 1e300 / math.sqrt(5)],
             math.sqrt(5),
         ),
+        # ||x - c||^2 overflows for a point inside, and underflows to 0 for one outside
+        ([0.0, 0.0], 3e301, [2e301, 2e301], [2e301, 2e301], math.sqrt(2)),
+        ([0.0, 0.0], 1e-170, [5e-170, 0.0], [1e-170, 0.0], 1.0),
     ],
 )
 def test_ball_projects_points_whose_difference_overflows(center, radius, x, nearest, distance):
     # the nearest point, finite and without a warning, alone and in a batched
-    # group; distance is ||x - c|| / 1e308, which does not overflow
+    # group; distance is ||x - c|| over the largest |coordinate| of x and c,
+    # which neither overflows nor underflows
     ball = Ball(center, radius)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = project(ball, x)
         batched = project_blocks(Family((ball,) * 4), np.array([x] * 4))
+    scale = max(np.abs(x).max(), np.abs(center).max())
     assert np.isfinite(got).all()
-    assert np.abs(got - nearest).max() <= 1e-12 * distance * 1e308
+    assert np.abs(got - nearest).max() <= 1e-12 * distance * scale
     assert np.array_equal(batched, np.array([got] * 4))
+
+
+@pytest.mark.parametrize(
+    "s, c, x, nearest",
+    [
+        (Segment([-1e308, 0], [1e308, 0]), [-1e308, 0], [0, 1], [0, 0]),  # b - a overflows
+        (Ray([1, 1]), [0, 0], [1e308, 1e308], [1e308, 1e308]),  # x . u overflows
+        (Halfspace([1, 1], 0), [0, 0], [1e308, 1e308], [0, 0]),  # u . x overflows
+        (AffineSubspace([1e308, 0], [[1, 0]]), [1e308, 0], [-1e308, 1], [-1e308, 0]),  # x - anchor overflows
+        # ||a w||^2 underflows: 1e-100 times the projection of (5, 5) onto axes (1, 2)
+        (
+            Ellipsoid([0, 0], [1e-100, 2e-100]),
+            [0, 0],
+            [5e-100, 5e-100],
+            1e-100 * project(Ellipsoid([0, 0], [1, 2]), [5, 5]),
+        ),
+        # one axis squares past the float range, the other to 0
+        (Ellipsoid([0, 0], [1e300, 1e-300]), [0, 0], [1e10, 1e10], [1e10, 0]),
+        (Ellipsoid([0, 0], [1e-200, 1]), [0, 0], [2e-200, 0.9], [0, 0.9]),
+    ],
+)
+def test_badly_scaled_inputs_project_onto_their_nearest_point(s, c, x, nearest):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = project(s, x)
+    assert np.isfinite(got).all()
+    assert within_scaled(got, nearest, x, c)
 
 
 def test_ellipsoid_projects_far_points_without_overflow_warnings():
@@ -341,14 +382,37 @@ def test_ellipsoid_rescales_points_at_a_moderate_distance(axes, x, nearest):
     assert np.linalg.norm(got - nearest) <= 1e-12 * np.linalg.norm(x)
 
 
-@pytest.mark.parametrize("k", [400, 700, 1000])
-def test_ellipsoid_projection_scales_with_its_axes(k):
-    # P(2^k c + 2^k w; 2^k a) = 2^k P(c + w; a): nothing overflows at k = 0
-    rng = np.random.default_rng(k)
-    center, axes, x = rng.uniform(-1, 1, 3), rng.uniform(0.5, 2.0, 3), rng.uniform(-8, 8, 3)
-    small = project(Ellipsoid(center, axes), x)
-    big = project(Ellipsoid(np.ldexp(center, k), np.ldexp(axes, k)), np.ldexp(x, k))
-    assert np.linalg.norm(np.ldexp(big, -k) - small) <= 1e-12 * np.linalg.norm(x - center)
+# the descriptor fields that are lengths or positions, which scale with the
+# set (directions and the affine basis do not), and the field of the point c
+# that measures the tolerance (the origin where None)
+SCALED_FIELDS = {
+    "singleton": (("point",), "point"),
+    "segment": (("a", "b"), "a"),
+    "ray": ((), None),
+    "ball": (("center", "radius"), "center"),
+    "box": (("lower", "upper"), "lower"),
+    "halfspace": (("offset",), None),
+    "affine": (("anchor",), "anchor"),
+    "ellipsoid": (("center", "axes"), "center"),
+}
+
+
+@pytest.mark.parametrize("k", [-1000, -500, -200, 200, 500, 1000])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_projection_scales_with_the_set(variant, k):
+    # 2^-k P_{2^k C}(2^k x) = P_C(x): nothing leaves the float range at k = 0
+    rng = np.random.default_rng([VARIANTS.index(variant), k + 1000])
+    scaled, center = SCALED_FIELDS[variant]
+    for _ in range(200):
+        s = make_set(variant, 3, rng)
+        x = rng.uniform(-10, 10, 3)
+        desc = s.descriptor()
+        for name in scaled:
+            desc[name] = np.ldexp(desc[name], k).tolist()
+        big = from_descriptor(desc)
+        got = np.ldexp(project(big, np.ldexp(x, k)), -k)
+        c = np.zeros(3) if center is None else getattr(s, center)
+        assert np.linalg.norm(got - project(s, x)) <= 1e-12 * np.linalg.norm(x - c)
 
 
 @settings(max_examples=100, deadline=None)
@@ -358,12 +422,19 @@ def test_ellipsoid_points_keep_the_plain_solve(seed, dim, exponent):
     rng = np.random.default_rng(seed)
     ellipsoid = Ellipsoid(rng.uniform(-5, 5, dim), 10.0 ** rng.uniform(-3, 3, dim))
     x = 10.0**exponent * rng.uniform(-1, 1, dim)
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            want = ellipsoid._plain(x, x - ellipsoid.center)
-    except FloatingPointError:
-        return
-    assert project(ellipsoid, x).tolist() == want.tolist()
+    want = ellipsoid_plain_solve(ellipsoid, x)
+    if want is not None:
+        assert project(ellipsoid, x).tolist() == want.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5), exponent=st.integers(-100, 100))
+def test_affine_points_keep_the_plain_formula(seed, dim, exponent):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, int(rng.integers(1, dim + 1)))))
+    affine = AffineSubspace(10.0**exponent * rng.uniform(-5, 5, dim), q.T)
+    x = 10.0**exponent * rng.uniform(-10, 10, dim)
+    assert project(affine, x).tolist() == affine_plain_formula(affine, x).tolist()
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e200])

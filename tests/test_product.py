@@ -430,6 +430,15 @@ def test_project_blocks_equals_row_loop(case):
     assert np.array_equal(y, before)
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e160])
+def test_badly_scaled_ball_groups_keep_the_row_bits(scale):
+    # squares that underflow (overflow) send a batched group to the rows
+    rng = np.random.default_rng(5)
+    family = Family(tuple(Ball(scale * rng.uniform(-1, 1, 3), scale * rng.uniform(0, 1)) for _ in range(6)))
+    y = scale * rng.uniform(-2, 2, (6, 3))
+    assert np.array_equal(project_blocks(family, y), project_rows_loop(family, y))
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=ORACLE_CASES)
 def test_residuals_equal_row_loop_formulas(case):
