@@ -5,7 +5,8 @@ Subcommands: ``run`` (dispatch a JSON experiment config), ``project``
 (candidate-functional report).  Exit codes: 0 success, 1 a validation,
 parse, input or write error, 2 a solver failed to converge (diagnostic
 artifacts are still written) or a candidate survived the falsifier.
-Every input ends in one of these codes, with a message on stderr for 1.
+Every input, even one too large to allocate, ends in one of these codes,
+with one line on stderr for 1; ``main`` turns each failure into its code.
 
 ``_KINDS`` is the one place an experiment kind is defined: its config
 keys (each with a typed parser and either a default or required), its
@@ -58,8 +59,8 @@ from .sweep import run_periodic, write_trajectory_csv
 
 # what constructing a value from outside input may raise (RecursionError: JSON nested too deep)
 _PARSE_ERRORS = (CyclexError, ValueError, TypeError, OverflowError, RecursionError)
-# what the solvers raise on an input they reject
-_RUN_ERRORS = (CyclexError, ValueError)
+# what a command may raise besides: an array too large to allocate, an artifact it cannot write
+_ERRORS = (*_PARSE_ERRORS, MemoryError, OSError)
 
 
 @dataclass
@@ -295,9 +296,10 @@ def _check_variant(inputs, errors):
 
 
 def _check_spiral(inputs, errors):
-    x, y = inputs["x"], inputs["y"]
-    if x is not None and y is not None and x.shape[0] != y.shape[0]:
-        errors.append("x and y must share dimension")
+    x = inputs["x"]
+    for key in ("y", "plane"):
+        if x is not None and inputs[key] is not None and inputs[key].shape[0] != x.shape[0]:
+            errors.append(f"x and {key} must share dimension")
 
 
 def _check_falsify(inputs, errors):
@@ -482,19 +484,16 @@ def validate_config(raw) -> ExperimentConfig:
     return ExperimentConfig(kind, inputs.pop("solver"), inputs.pop("seed"), out_csv, out_json, inputs)
 
 
-def _json_dump(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _out_paths(config: ExperimentConfig, out_dir):
     base = Path(out_dir) if out_dir is not None else Path(".")
     base.mkdir(parents=True, exist_ok=True)
 
-    def resolve(explicit, suffix):
-        if explicit is None:
-            return base / f"{config.kind}.{suffix}"
-        p = Path(explicit)
-        return p if p.is_absolute() else base / p
+    def resolve(explicit, suffix):  # an absolute path replaces base
+        return base / (f"{config.kind}.{suffix}" if explicit is None else explicit)
 
     return resolve(config.out_csv, "csv"), resolve(config.out_json, "json")
 
@@ -503,29 +502,30 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> int:
     """Run a validated config, write its artifacts, return the exit code.
 
     A run that does not converge still writes its last state, with exit
-    code 2.
+    code 2; one that fails, or an artifact that cannot be written, is 1.
     """
     kind = _KINDS[config.kind]
     try:
-        code, payload, write_csv = kind.run(config)
-    except NotConverged as exc:
-        print(f"not converged: {exc}", file=sys.stderr)
-        code, payload, write_csv = _not_converged(exc)
-    except _RUN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        try:
+            code, payload, write_csv = kind.run(config)
+        except NotConverged as exc:
+            print(f"not converged: {exc}", file=sys.stderr)
+            code, payload, write_csv = _not_converged(exc)
         csv_path, json_path = _out_paths(config, out_dir)
         if kind.csv:
             write_csv(csv_path)
-        _json_dump(payload, json_path)
-    except OSError as exc:
-        return _cannot_write(exc)
+        json_path.write_text(_json_text(payload))
+    except _ERRORS as exc:
+        return _report(exc)
     return code
 
 
-def _cannot_write(exc: OSError) -> int:
-    print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+def _report(exc: Exception) -> int:
+    """Exit code 1, after one stderr line saying what ``exc`` rejected."""
+    if isinstance(exc, OSError):
+        print(f"cannot write {exc.filename or 'standard output'}: {exc.strerror}", file=sys.stderr)
+    else:
+        print(f"error: {exc}", file=sys.stderr)
     return 1
 
 
@@ -561,59 +561,42 @@ def _cmd_run(args) -> int:
 
 def _cmd_project(args) -> int:
     try:
-        target = _build_set(json.loads(args.set))
-        point = _parse_point(args.point)
-        result = project(target, point)
+        desc = json.loads(args.set)
     except json.JSONDecodeError as exc:
         print(f"set descriptor parse error: {exc.msg}", file=sys.stderr)
         return 1
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = project(_build_set(desc), _parse_point(args.point))
     print(",".join(repr(float(c)) for c in result))
     return 0
 
 
 def _cmd_spiral(args) -> int:
-    try:
-        data = {"kind": "spiral", "x": _parse_point(args.x), "y": _parse_point(args.y), "n": args.n}
-        if args.plane:
-            data["plane"] = _parse_point(args.plane)
-        code, payload, write_csv = _KINDS["spiral"].run(validate_config(data))
-        write_csv(args.out or sys.stdout)
-    except _RUN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        return _cannot_write(exc)
+    data = {"kind": "spiral", "x": _parse_point(args.x), "y": _parse_point(args.y), "n": args.n}
+    if args.plane:
+        data["plane"] = _parse_point(args.plane)
+    code, payload, write_csv = _KINDS["spiral"].run(validate_config(data))
+    write_csv(args.out or sys.stdout)
     print(f"final_norm={payload['final_norm']!r}", file=sys.stderr)
     return code
 
 
 def _cmd_falsify(args) -> int:
-    try:
-        data = {
-            "kind": "falsify",
-            "candidate": args.candidate,
-            "m": args.m,
-            "rho": args.rho,
-            "z": None if args.z is None else _parse_point(args.z),
-            "sphere_samples": args.sphere_samples,
-            "seed": args.seed,
-        }
-        # a flag not given stays out of the config, so the falsify kind's default applies
-        config = validate_config({key: value for key, value in data.items() if value is not None})
-        code, payload, _ = _KINDS["falsify"].run(config)
-    except _RUN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
+    data = {
+        "kind": "falsify",
+        "candidate": args.candidate,
+        "m": args.m,
+        "rho": args.rho,
+        "z": None if args.z is None else _parse_point(args.z),
+        "sphere_samples": args.sphere_samples,
+        "seed": args.seed,
+    }
+    # a flag not given stays out of the config, so the falsify kind's default applies
+    config = validate_config({key: value for key, value in data.items() if value is not None})
+    code, payload, _ = _KINDS["falsify"].run(config)
+    text = _json_text(payload)
+    print(text, end="")
     if args.out:
-        try:
-            Path(args.out).write_text(text + "\n")
-        except OSError as exc:
-            return _cannot_write(exc)
+        Path(args.out).write_text(text)
     return code
 
 
@@ -666,7 +649,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
         return exc.code
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _ERRORS as exc:
+        return _report(exc)
 
 
 if __name__ == "__main__":

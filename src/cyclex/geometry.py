@@ -25,7 +25,7 @@ from operator import add, mul, sub, truediv
 import numpy as np
 
 from .errors import DimensionMismatch, EllipsoidNewtonFailure
-from .sums import dot, dot_last, norm
+from .sums import dot, dot_last, norm, pow2, top_exponent
 
 ORTHONORMAL_TOL = 1e-12
 
@@ -42,16 +42,6 @@ Direction = np.ndarray  # a vector field that does not scale with the set
 # 2-vCPU VM): the kernel costs 10-18 us whatever the row count, the row
 # loop 6-10 us for two rows, 8-14 for three and 11-18 for four.
 _BALL_BATCH_ROWS = 4
-
-
-def _top_exponent(values) -> int:
-    """The e that brings the largest |value| into [0.5, 1) when scaled by 2^-e."""
-    return math.frexp(max(map(abs, values)))[1]
-
-
-def _pow2(v, e) -> float:
-    """v * 2^e in two in-range factors: exact outside the subnormal range, +-inf past it."""
-    return v * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
 
 
 def as_vector(x, dim=None) -> np.ndarray:
@@ -116,7 +106,7 @@ class ConvexSet:
             if not scales:
                 if not any(own):
                     raise ValueError(f"{name} must be nonzero")
-                e = _top_exponent(own)
+                e = top_exponent(own)
                 own = [math.ldexp(v, -e) for v in own]
             object.__setattr__(self, "_" + name, tuple(own) if vector else own)
 
@@ -129,7 +119,7 @@ class ConvexSet:
 
     def _exponent(self, x) -> int:
         own = [(getattr(self, "_" + name), vector) for name, vector in self._lengths]
-        return _top_exponent(chain(x, *(v if vector else [v] for v, vector in own)))
+        return top_exponent(chain(x, *(v if vector else [v] for v, vector in own)))
 
     def _rescaled(self, x):
         e = self._exponent(x)
@@ -138,7 +128,7 @@ class ConvexSet:
         for name, vector in self._lengths:
             own = getattr(self, "_" + name)
             vars(copy)["_" + name] = tuple(math.ldexp(v, -e) for v in own) if vector else math.ldexp(own, -e)
-        return [_pow2(p, e) for p in copy._project([math.ldexp(v, -e) for v in x])]
+        return [pow2(p, e) for p in copy._project([math.ldexp(v, -e) for v in x])]
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """A random member of the set (distribution unspecified)."""
@@ -347,7 +337,9 @@ class Halfspace(ConvexSet):
         super().__post_init__()
         if not math.isfinite(self.offset):
             raise ValueError("offset must be finite")
-        object.__setattr__(self, "_offset", _pow2(self.offset, -_top_exponent(self.normal.tolist())))
+        object.__setattr__(self, "_offset", pow2(self.offset, -top_exponent(self.normal.tolist())))
+        if self._offset == -math.inf:
+            raise ValueError("offset is too far below zero for the normal: no point is representable")
 
     bounded = False
 

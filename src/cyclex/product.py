@@ -19,7 +19,7 @@ from .config import SolverConfig
 from .csvio import reused_texts, write_csv
 from .errors import BlockCountMismatch, DimensionMismatch, InvalidStepSize, NotConverged, TooFewSets
 from .geometry import Family, as_vector
-from .sums import dot_last, norm
+from .sums import dot_last, norm, pow2, top_exponent
 
 # the point each block of a parallel sweep projects, by variant
 _PARALLEL_TARGETS = {
@@ -263,7 +263,17 @@ def _max_block_norm(r: np.ndarray) -> float:
     """max_i ||r_i|| over the rows of r, as ``np.max(np.linalg.norm(r, axis=1))``
     computes it: norm squares and add-reduces each row; sqrt is monotonic,
     so one sqrt of the largest sum gives the same bits."""
-    return math.sqrt(np.add.reduce(r * r, axis=1).max())
+    return _in_range(lambda r: math.sqrt(np.add.reduce(r * r, axis=1).max()), r)
+
+
+def _in_range(norm_of, r: np.ndarray) -> float:
+    """``norm_of(r)``; where its squares overflow, 2^e norm_of(2^-e r) for the
+    e that brings r's largest |coordinate| into [0.5, 1), an exact scaling."""
+    value = norm_of(r)
+    if value == math.inf:
+        e = top_exponent(r.ravel().tolist())
+        value = pow2(norm_of(pow2(r, -e)), e)
+    return value
 
 
 def _iterate(family, x, target_of, step, obj, cfg, label) -> ProductSolution:
@@ -277,32 +287,33 @@ def _iterate(family, x, target_of, step, obj, cfg, label) -> ProductSolution:
     objectives of this module, one call per tuple for any other, whose
     ``value`` may take a single (m, d) tuple only.
     """
-    iterates, moves = [x], [(math.nan, math.nan)]
-    stop_reason = "max_iterations"
-    for n in range(cfg.max_iters):
-        proj = project_blocks(family, target_of(x))
-        stationarity = _max_block_norm(proj - x)
-        x_new = step(n, x, proj)
-        move = (x_new - x).ravel()
-        displacement = math.sqrt(dot_last(move, move))
-        x = x_new
-        iterates.append(x)
-        moves.append((displacement, stationarity))
-        if displacement <= cfg.sweep_tol:
-            stop_reason = "converged"
-            break
+    with np.errstate(over="ignore"):  # a far start logs inf objectives, not a warning
+        iterates, moves = [x], [(math.nan, math.nan)]
+        stop_reason = "max_iterations"
+        for n in range(cfg.max_iters):
+            proj = project_blocks(family, target_of(x))
+            stationarity = _max_block_norm(proj - x)
+            x_new = step(n, x, proj)
+            move = (x_new - x).ravel()
+            displacement = _in_range(lambda v: math.sqrt(dot_last(v, v)), move)
+            x = x_new
+            iterates.append(x)
+            moves.append((displacement, stationarity))
+            if displacement <= cfg.sweep_tol:
+                stop_reason = "converged"
+                break
 
-    fields = [(name, float) for name in _LOG_SCALARS] + [("blocks", float, x.shape)]
-    log = np.recarray(len(iterates), dtype=fields)
-    log.blocks = iterates
-    log.displacement, log.stationarity = zip(*moves)
-    if type(obj) in _STACKED_OBJECTIVES:
-        values, blocks, k = log["objective"], log["blocks"], stack_size(*x.shape)
-        for start in range(0, len(log), k):
-            values[start : start + k] = obj.value(blocks[start : start + k])
-    else:
-        log.objective = [obj.value(y) for y in iterates]
-    return _certify(family, x, target_of(x), cfg, stop_reason, log, label)
+        fields = [(name, float) for name in _LOG_SCALARS] + [("blocks", float, x.shape)]
+        log = np.recarray(len(iterates), dtype=fields)
+        log.blocks = iterates
+        log.displacement, log.stationarity = zip(*moves)
+        if type(obj) in _STACKED_OBJECTIVES:
+            values, blocks, k = log["objective"], log["blocks"], stack_size(*x.shape)
+            for start in range(0, len(log), k):
+                values[start : start + k] = obj.value(blocks[start : start + k])
+        else:
+            log.objective = [obj.value(y) for y in iterates]
+        return _certify(family, x, target_of(x), cfg, stop_reason, log, label)
 
 
 def _certify(family, x, target, cfg, stop_reason, log, label) -> ProductSolution:

@@ -6,7 +6,8 @@ from the first product.  Python float arithmetic, elementwise ufuncs,
 so this order alone fixes the bits on every CPU, numpy and Python
 version.  BLAS (``@``, ``np.dot``, ``np.vdot``, a 1-D ``np.linalg.norm``)
 picks its summation kernel per CPU, and the builtin ``sum`` of floats
-compensates from Python 3.12: cyclex uses neither.
+compensates from Python 3.12: cyclex uses neither.  The exact scaling
+by powers of two that the range fallbacks share is here too.
 """
 
 from __future__ import annotations
@@ -16,6 +17,16 @@ from functools import reduce
 from operator import add, mul
 
 import numpy as np
+
+
+def top_exponent(values) -> int:
+    """The e that brings the largest |value| into [0.5, 1) when scaled by 2^-e."""
+    return math.frexp(max(map(abs, values)))[1]
+
+
+def pow2(v, e):
+    """v * 2^e in two in-range factors: exact outside the subnormal range, +-inf past it."""
+    return v * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
 
 
 def dot(u, v) -> float:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -547,6 +548,38 @@ def test_loosely_typed_config_is_one_config_error(tmp_path, capsys, base, path, 
     assert not (tmp_path / "out").exists()
 
 
+# id: (config, expected message): rejections of whole objects and of cross-field rules
+REJECTED_CONFIGS = {
+    "negative_lambda": (with_value(PERIODIC, ["solver"], {"lambda": -1}), "solver.lambda must be >= 0"),
+    "zero_sweep_tol": (
+        with_value(PERIODIC, ["solver"], {"sweep_tol": 0}), "solver: sweep_tol must be positive and finite"
+    ),
+    "output_list": (with_value(PERIODIC, ["output"], ["a.csv"]), "output must be an object"),
+    "output_unknown_key": (with_value(PERIODIC, ["output"], {"xml": "a.xml"}), "output.xml is not recognized"),
+    "objective_unknown_kind": (
+        with_value(QUADRATIC, ["objective"], {"kind": "huber"}), "objective.kind must be one of"
+    ),
+    "quadratic_without_target": (
+        with_value(QUADRATIC, ["objective"], {"kind": "quadratic_to_target"}),
+        "objective.target is required for quadratic_to_target",
+    ),
+    "others_mean_two_sets": (
+        with_value(PARALLEL, ["family"], THREE_BALLS[:2]), "variant others_mean needs at least three sets"
+    ),
+    "not_an_object": ([PERIODIC], "config must be a JSON object"),
+    "plane_dimension": (with_value(SPIRAL, ["plane"], [0, 1, 0]), "x and plane must share dimension"),
+}
+
+
+@pytest.mark.parametrize("config, expected", list(REJECTED_CONFIGS.values()), ids=list(REJECTED_CONFIGS))
+def test_rejected_config_is_one_config_error(tmp_path, capsys, config, expected):
+    assert run_main(tmp_path, config) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert expected in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_override_is_one_config_error(tmp_path, capsys):
     assert run_main(tmp_path, FALSIFY, "--seed", "-1") == 1
     assert capsys.readouterr().err.splitlines() == ["config error: seed must be an integer >= 0"]
@@ -599,10 +632,19 @@ def test_inputs_the_solvers_reject_are_one_error(tmp_path, capsys, config, expec
             "error: lower must hold only numbers",
         ),
         (["project", "--set", "[" * 100_000, "--point", "1,0"], "error: maximum recursion depth"),
+        (
+            ["spiral", "--x", "0,0.1", "--y", "1,0", "--n", "3", "--plane", "0,1,0"],
+            "error: x and plane must share dimension",
+        ),
+        (
+            ["project", "--set", '{"type":"halfspace","normal":[1e-310,0],"offset":-1e300}', "--point", "1e308,5"],
+            "error: offset is too far below zero for the normal",
+        ),
     ],
     ids=[
         "project_type_list", "project_field_type", "spiral_out", "falsify_out", "falsify_seed", "spiral_n",
-        "project_string_radius", "project_bool_bound", "project_deep_json",
+        "project_string_radius", "project_bool_bound", "project_deep_json", "spiral_plane_dimension",
+        "project_halfspace_out_of_range",
     ],
 )
 def test_subcommand_faults_are_one_stderr_line(tmp_path, capsys, argv, expected):
@@ -610,6 +652,83 @@ def test_subcommand_faults_are_one_stderr_line(tmp_path, capsys, argv, expected)
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(expected)
+
+
+NO_MEMORY = "Unable to allocate 7.45 GiB for an array with shape (1000000001,) and data type float64"
+
+
+def raise_memory_error(*args, **kwargs):
+    raise MemoryError(NO_MEMORY)
+
+
+@pytest.mark.parametrize(
+    "library_call, argv",
+    [
+        # small sizes: the patched call fails as --n or --sphere-samples 1000000000 would
+        ("spiral", ["spiral", "--x", "0,0.1", "--y", "1,0", "--n", "3"]),
+        ("falsify_candidate", ["falsify", "--candidate", "perimeter", "--m", "3", "--rho", "2"]),
+        ("run_periodic", None),
+    ],
+    ids=["spiral", "falsify", "run"],
+)
+def test_an_array_too_large_to_allocate_is_one_stderr_line(tmp_path, capsys, monkeypatch, library_call, argv):
+    monkeypatch.setattr(cli, library_call, raise_memory_error)
+    code = run_main(tmp_path, PERIODIC) if argv is None else main(argv)
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {NO_MEMORY}"]
+    assert not (tmp_path / "out").exists()
+
+
+class BrokenPipe(io.StringIO):
+    """A standard output whose reader has gone away, as under ``| head -1``."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_a_closed_standard_output_is_named(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    assert main(["spiral", "--x", "0,0.1", "--y", "1,0", "--n", "3"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["cannot write standard output: Broken pipe"]
+
+
+FAR_FAMILY = [
+    {"type": "ball", "center": [0, 0], "radius": 1},
+    {"type": "ball", "center": [4, 0], "radius": 1},
+    {"type": "ball", "center": [0, 4], "radius": 1},
+]
+FAR_START = [[1e200, 1e200], [-1e200, 0], [0, 1e200]]
+# id: config of a product run whose first squares leave the float range
+FAR_START_CONFIGS = {
+    "parallel": {"kind": "parallel", "family": FAR_FAMILY, "start": FAR_START},
+    "pairwise2": {
+        "kind": "projected_gradient", "family": FAR_FAMILY, "start": FAR_START, "objective": {"kind": "pairwise2"}
+    },
+    "cyclic2": {
+        "kind": "projected_gradient", "family": FAR_FAMILY, "start": FAR_START, "objective": {"kind": "cyclic2"}
+    },
+    "far_target": {
+        "kind": "projected_gradient", "family": FAR_FAMILY, "start": [0, 0],
+        "objective": {"kind": "quadratic_to_target", "target": [[1e200, 0]] * 3},
+    },
+    "gap": {"kind": "gap", "family": FAR_FAMILY, "start": [1e200, 1e200], "candidate_kind": "pairwise2"},
+}
+
+
+@pytest.mark.parametrize("config", list(FAR_START_CONFIGS.values()), ids=list(FAR_START_CONFIGS))
+def test_a_far_start_logs_its_first_move_without_a_warning(tmp_path, capsys, config):
+    # warnings are errors under pytest, so an overflow warning fails the run
+    assert run_main(tmp_path, config) == 0
+    assert capsys.readouterr().err == ""
+    if config["kind"] == "gap":
+        assert math.isfinite(json.loads((tmp_path / "out" / "gap.json").read_text())["gap"])
+        return
+    rows = np.loadtxt(tmp_path / "out" / f"{config['kind']}.csv", delimiter=",", skiprows=1)
+    assert rows[0, 1] == math.inf  # the start's objective lies past the float range
+    move = rows[1, 4:].reshape(3, 2) - rows[0, 4:].reshape(3, 2)
+    # each step lands on the projection (lambda = 1), so a block's residual is its move
+    assert rows[1, 2] == pytest.approx(math.hypot(*move.ravel()), rel=1e-15)
+    assert rows[1, 3] == pytest.approx(max(math.hypot(*block) for block in move), rel=1e-15)
 
 
 def test_usage_errors_return_two(capsys):

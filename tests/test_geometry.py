@@ -458,6 +458,19 @@ def test_halfspace_accepts_a_normal_whose_square_underflows():
     assert project(hs, [-3, 5]).tolist() == [-3.0, 5.0]
 
 
+def test_halfspace_with_no_representable_point_is_rejected():
+    # {1e-310 y_0 <= -1e300} needs y_0 <= -1e610: no float is that far out
+    with pytest.raises(ValueError, match="no point is representable"):
+        Halfspace([1e-310, 0], -1e300)
+
+
+def test_halfspace_containing_every_float_projects_points_onto_themselves():
+    # {1e-310 y_0 <= 1e300} holds every y_0 up to 1e610
+    hs = Halfspace([1e-310, 0], 1e300)
+    assert project(hs, [1e308, 5]).tolist() == [1e308, 5.0]
+    assert project(hs, [-1e308, -5]).tolist() == [-1e308, -5.0]
+
+
 @pytest.mark.parametrize("scale", [1e-170, 1e200])
 def test_ray_projects_with_badly_scaled_directions(scale):
     # scale * (3, 4) spans the ray through (0.6, 0.8)
