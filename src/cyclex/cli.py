@@ -54,7 +54,7 @@ from .product import (
     solve_projected_gradient,
     write_iteration_csv,
 )
-from .sums import norm
+from .sums import norm, norms_last
 from .sweep import run_periodic, write_trajectory_csv
 
 # what constructing a value from outside input may raise (RecursionError: JSON nested too deep)
@@ -370,7 +370,7 @@ def _run_spiral(config):
     payload = {
         "alpha": float(spec.alpha),
         "n": spec.n,
-        "start_norm": norm(points[0].tolist()),
+        "start_norm": float(norms_last(points[0])),
         "final_norm": final_norm,
     }
     return 0, payload, lambda out: write_spiral_csv(points, out)

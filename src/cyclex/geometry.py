@@ -11,21 +11,28 @@ adds only its own rules.  Every variant exposes ``project``,
 a membership ``sample`` used by probe-style tests, and a JSON
 ``descriptor`` round-trip built from the same fields; ``from_descriptor``
 finds the class by the descriptor's ``type`` in one registry.
+
+A closed-form variant's one kernel is its ``_template`` (template -> compile
+per (variant, d) -> lazy bind): straight-line code for dimension d compiled
+once per process (``cyclex.sums.compiled``) when a set of that variant and d
+first projects one point, which binds its fields into it.  Nothing compiles at
+import; the ellipsoid and the affine subspace keep hand-written kernels.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import textwrap
 from dataclasses import dataclass, fields
 from functools import cached_property, reduce
-from itertools import chain, repeat
+from itertools import chain
 from operator import add, mul, sub, truediv
 
 import numpy as np
 
 from .errors import DimensionMismatch, EllipsoidNewtonFailure
-from .sums import dot, dot_last, norm, pow2, top_exponent
+from .sums import compiled, dot, dot_last, norm, pow2, top_exponent
 
 ORTHONORMAL_TOL = 1e-12
 
@@ -37,10 +44,10 @@ _SECULAR_MAX_ITER = 200
 Rows = np.ndarray  # a 2-D array of row vectors, left to its variant
 Direction = np.ndarray  # a vector field that does not scale with the set
 
-# Ball._kernel projects a group of balls from this many rows up, the row
-# loop below it.  Best of 7 x 3000 calls per case, d = 2..4 (numpy 2.4.6,
-# 2-vCPU VM): the kernel costs 10-18 us whatever the row count, the row
-# loop 6-10 us for two rows, 8-14 for three and 11-18 for four.
+# Ball._kernel projects a group of balls from this many rows up, the row loop below it
+# (Box._kernel from two).  project_blocks, best of 7 x 3000 calls, d = 2..4 (numpy 2.4.6,
+# 2-vCPU VM): ball (box) kernel 13.5-17 us (8-10), compiled row loop 5-5.5 (4.4-4.8) for two
+# rows and 13-15 (9-10) for eleven (eight).  Thresholds stay where the batched-kernel tests reach.
 _BALL_BATCH_ROWS = 4
 
 
@@ -80,6 +87,12 @@ class ConvexSet:
     ``_exponent`` brings the largest coordinate of x and of every field but
     a direction into [0.5, 1); the copy's kernel (``_scaled``) runs to the end.
 
+    A closed-form variant's ``_template`` is the body of ``project(x)`` over
+    ``x{i}``, its fields ``_name`` (as ``name{i}`` or ``name``), ``scaled`` and
+    ``rescaled``.  ``_project`` is it compiled for dim and bound to the set on
+    first access, so ``s._project`` is the kernel itself; copies, and the copy
+    of ``_rescaled``, bind their own.  Other variants define ``_project``.
+
     A variant with a closed form may add ``_kernel(sets)``, one batched
     projection of stacked rows, row i onto ``sets[i]`` (all of its type),
     bit-identical to ``_project`` row by row and leaving its input
@@ -92,6 +105,7 @@ class ConvexSet:
     bounded: bool
     _batch_rows = math.inf
     _scaled = False
+    _template = None
 
     def __post_init__(self):
         first = self._converted[0][0]
@@ -114,8 +128,16 @@ class ConvexSet:
         """Nearest point of the set to ``x``."""
         return np.array(self._project(as_vector(x, self.dim).tolist()))
 
-    def _project(self, x: list) -> list:
-        raise NotImplementedError
+    @cached_property
+    def _project(self):
+        if self._template is None:
+            raise NotImplementedError
+        bind = compiled(self._source, self.dim)["bind"]
+        return bind(*(getattr(self, "_" + name) for name in self._fields), self._scaled, self._rescaled)
+
+    def __getstate__(self):
+        # the bound kernel is a closure, which does not pickle; a copy binds its own
+        return {k: v for k, v in vars(self).items() if k != "_project"}
 
     def _exponent(self, x) -> int:
         own = [(getattr(self, "_" + name), vector) for name, vector in self._lengths]
@@ -124,7 +146,7 @@ class ConvexSet:
     def _rescaled(self, x):
         e = self._exponent(x)
         copy = object.__new__(type(self))
-        vars(copy).update(vars(self), _scaled=True)
+        vars(copy).update(self.__getstate__(), _scaled=True)
         for name, vector in self._lengths:
             own = getattr(self, "_" + name)
             vars(copy)["_" + name] = tuple(math.ldexp(v, -e) for v in own) if vector else math.ldexp(own, -e)
@@ -156,7 +178,8 @@ def _variant(type_name):
     ``_fields`` names its fields in order.  ``ConvexSet.__post_init__``
     converts the fields annotated ``np.ndarray`` (the first field is one),
     ``Direction`` or ``float``, listed in order in ``_converted`` as (name,
-    is vector, scales) triples; the variant converts the rest.
+    is vector, scales) triples; the variant converts the rest.  A variant with
+    a ``_template`` also gets ``_source``, the template wrapped into ``bind``.
     """
 
     def declare(cls):
@@ -167,6 +190,15 @@ def _variant(type_name):
         cls._lengths = tuple((name, vector) for name, vector, scales in cls._converted if scales)
         cls._type_name = type_name
         _SET_TYPES[type_name] = cls
+        if cls._template:  # its source, compiled per d on first use; all its fields are converted
+            cls._source = "\n".join([
+                f"from math import inf, isfinite, nan, sqrt\nTINY = {_TINY!r}",
+                f"def bind({', '.join(cls._fields)}, scaled, rescaled):",
+                *(f"    ALL({name}{{i}}) = {name}" for name, vector, _ in cls._converted if vector),
+                "    def project(x):\n        ALL(x{i}) = x",
+                textwrap.indent(textwrap.dedent(cls._template), " " * 8),
+                "    return project",
+            ])
         return cls
 
     return declare
@@ -179,9 +211,7 @@ class Singleton(ConvexSet):
     point: np.ndarray
 
     bounded = True
-
-    def _project(self, x):
-        return list(self._point)
+    _template = "return [ALL(point{i})]"
 
     def sample(self, rng):
         return self.point.copy()
@@ -195,21 +225,21 @@ class Segment(ConvexSet):
     b: np.ndarray
 
     bounded = True
-
-    def _project(self, x):
-        a = self._a
-        d = list(map(sub, self._b, a))
-        w = list(map(sub, x, a))
-        dd = dot(d, d)
-        t = dot(w, d) / dd if _TINY <= dd < math.inf else math.nan
-        if not (math.isfinite(t) or self._scaled):
-            return self._rescaled(x)
-        # clamped parameters, and a = b in the copy of _rescaled, return a stored endpoint bit-exactly
+    # clamped parameters, and a = b in the copy of _rescaled, return a stored endpoint bit-exactly
+    _template = """
+        d{i} = b{i} - a{i}
+        w{i} = x{i} - a{i}
+        dd = SUM(d{i} * d{i})
+        wd = SUM(w{i} * d{i})
+        t = wd / dd if TINY <= dd < inf else nan
+        if not (isfinite(t) or scaled):
+            return rescaled(x)
         if not t > 0.0:
-            return list(a)
+            return [ALL(a{i})]
         if t >= 1.0:
-            return list(self._b)
-        return [ai + t * di for ai, di in zip(a, d)]
+            return [ALL(b{i})]
+        return [ALL(a{i} + t * d{i})]
+    """
 
     def sample(self, rng):
         t = rng.random()
@@ -223,15 +253,16 @@ class Ray(ConvexSet):
     direction: Direction
 
     bounded = False
-
-    def _project(self, x):
-        u = self._direction
-        t = dot(x, u) / dot(u, u)
-        if not (math.isfinite(t) or self._scaled):
-            return self._rescaled(x)
+    _template = """
+        xu = SUM(x{i} * direction{i})
+        uu = SUM(direction{i} * direction{i})
+        t = xu / uu
+        if not (isfinite(t) or scaled):
+            return rescaled(x)
         if t <= 0.0:
-            return [0.0] * self.dim
-        return [t * ui for ui in u]
+            return [ALL(0.0)]
+        return [ALL(t * direction{i})]
+    """
 
     def sample(self, rng):
         return (10.0 * rng.random()) * self.direction
@@ -251,18 +282,18 @@ class Ball(ConvexSet):
 
     bounded = True
     _batch_rows = _BALL_BATCH_ROWS
-
-    def _project(self, x):
-        c = self._center
-        w = list(map(sub, x, c))
-        ww = dot(w, w)
-        # a w . w that underflows is inside a ball of radius^2 in range
-        if not (_TINY <= ww < math.inf or ww < _TINY <= self._radius * self._radius or self._scaled):
-            return self._rescaled(x)
-        n = math.sqrt(ww)
-        if n <= self._radius:
+    # a w . w that underflows is inside a ball of radius^2 in range
+    _template = """
+        w{i} = x{i} - center{i}
+        ww = SUM(w{i} * w{i})
+        if not (TINY <= ww < inf or ww < TINY <= radius * radius or scaled):
+            return rescaled(x)
+        n = sqrt(ww)
+        if n <= radius:
             return x
-        return list(map(add, c, map(mul, repeat(self._radius / n), w)))
+        k = radius / n
+        return [ALL(center{i} + k * w{i})]
+    """
 
     @classmethod
     def _kernel(cls, sets):
@@ -310,10 +341,8 @@ class Box(ConvexSet):
 
     bounded = True
     _batch_rows = 2
-
-    def _project(self, x):
-        # a tie returns the bound (np.clip's rule), which fixes the sign of a zero
-        return [lo if v <= lo else hi if v >= hi else v for v, lo, hi in zip(x, self._lower, self._upper)]
+    # a tie returns the bound (np.clip's rule), which fixes the sign of a zero
+    _template = "return [ALL(lower{i} if x{i} <= lower{i} else upper{i} if x{i} >= upper{i} else x{i})]"
 
     @classmethod
     def _kernel(cls, sets):
@@ -342,16 +371,17 @@ class Halfspace(ConvexSet):
             raise ValueError("offset is too far below zero for the normal: no point is representable")
 
     bounded = False
-
-    def _project(self, x):
-        u = self._normal
-        s = dot(u, x) - self._offset
+    _template = """
+        ux = SUM(normal{i} * x{i})
+        s = ux - offset
         if s <= 0.0:
             return x
-        k = s / dot(u, u)
-        if not (math.isfinite(k) or self._scaled):
-            return self._rescaled(x)
-        return [xi - k * ui for xi, ui in zip(x, u)]
+        uu = SUM(normal{i} * normal{i})
+        k = s / uu
+        if not (isfinite(k) or scaled):
+            return rescaled(x)
+        return [ALL(x{i} - k * normal{i})]
+    """
 
     def sample(self, rng):
         g = 5.0 * rng.standard_normal(self.dim)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .geometry import Family, Segment, Singleton, as_vector
 from .product import OBJECTIVES, as_product_point, solve_projected_gradient, stack_size
-from .sums import dot, dot_last, norm
+from .sums import dot, norm, norms_last, top_exponent
 from .sweep import Cycle, run_periodic
 
 _COLLINEAR_RTOL = 1e-12
@@ -74,6 +75,9 @@ class SpiralSpec:
     def alpha(self) -> float:
         """Angle between target and start, in [0, pi]."""
         x, y = self.target.tolist(), self.start.tolist()
+        if not all(sys.float_info.min <= dot(v, v) < math.inf for v in (x, y)):
+            # each scaled by a power of two, exactly, so that no square leaves the range
+            x, y = ([math.ldexp(c, -top_exponent(v)) for c in v] for v in (x, y))
         c = dot(x, y) / (norm(x) * norm(y))
         return math.acos(min(1.0, max(-1.0, c)))
 
@@ -85,11 +89,12 @@ def spiral(spec: SpiralSpec):
     points[0] is the start and each subsequent point is the projection of
     its predecessor onto the next ray.  The norms obey
     ||points[k]|| = ||start|| * cos(alpha/n)^k, so the final point is
-    collinear with the target at norm ||start|| * cos(alpha/n)^n.
+    collinear with the target at norm ||start|| * cos(alpha/n)^n.  Norms
+    whose squares leave the float range rescale (``norms_last``).
     """
     x, y, n = spec.target, spec.start, spec.n
-    nx = norm(x.tolist())
-    ny = norm(y.tolist())
+    nx = float(norms_last(x))
+    ny = float(norms_last(y))
     if nx == 0.0:
         raise DegenerateInput("inner target must be nonzero")
     if nx >= ny:
@@ -100,7 +105,7 @@ def spiral(spec: SpiralSpec):
     e1 = y / ny
     along = dot(x.tolist(), e1.tolist())
     residual = x - along * e1
-    n_res = norm(residual.tolist())
+    n_res = float(norms_last(residual))
 
     if n_res <= _COLLINEAR_RTOL * nx:
         if along > 0.0:
@@ -112,8 +117,8 @@ def spiral(spec: SpiralSpec):
                 "start and target are antipodal; supply a plane direction to break the tie"
             )
         hint = spec.plane - dot(spec.plane.tolist(), e1.tolist()) * e1
-        n_hint = norm(hint.tolist())
-        if n_hint <= _COLLINEAR_RTOL * norm(spec.plane.tolist()):
+        n_hint = float(norms_last(hint))
+        if n_hint <= _COLLINEAR_RTOL * float(norms_last(spec.plane)):
             raise AntipodalAmbiguity("plane direction is collinear with the start")
         e2 = hint / n_hint
         alpha = math.pi
@@ -139,7 +144,7 @@ def spiral(spec: SpiralSpec):
         qs[k] = q
     points = np.outer(ps, e1) + np.outer(qs, e2)
     points[0] = y
-    return points, norm(points[n].tolist())
+    return points, float(norms_last(points[n]))
 
 
 def orthogonal_completion(z: np.ndarray) -> np.ndarray:
@@ -267,13 +272,13 @@ class _StackedCandidate(CandidateFunctional):
 
 
 def _perimeter(y):
-    return np.add.reduce(np.linalg.norm(y - np.roll(y, -1, axis=-2), axis=-1), axis=-1)
+    edges = y - np.roll(y, -1, axis=-2)
+    return np.add.reduce(norms_last(edges, lambda e: np.linalg.norm(e, axis=-1), underflow=False), axis=-1)
 
 
 def _tuple_norm(y):
     # the in-order norm of the flattened tuple, row by row
-    flat = y.reshape(*y.shape[:-2], -1)
-    return np.sqrt(dot_last(flat, flat))
+    return norms_last(y.reshape(*y.shape[:-2], -1), underflow=False)
 
 
 def _objective_candidate(objective):
@@ -462,8 +467,7 @@ def write_spiral_csv(points: np.ndarray, out) -> None:
 
     def columns(start, stop):
         block = points[start:stop]
-        norms = np.sqrt(dot_last(block, block))  # each row's in-order norm
-        return [range(start, stop), *block.T.tolist(), norms.tolist()]
+        return [range(start, stop), *block.T.tolist(), norms_last(block).tolist()]
 
     header = ["k"] + [f"x_{j}" for j in range(d)] + ["norm"]
     with nullcontext(out) if hasattr(out, "write") else open(out, "w", newline="") as fh:

@@ -19,7 +19,7 @@ from .config import SolverConfig
 from .csvio import reused_texts, write_csv
 from .errors import BlockCountMismatch, DimensionMismatch, InvalidStepSize, NotConverged, TooFewSets
 from .geometry import Family, as_vector
-from .sums import dot_last, norm, pow2, top_exponent
+from .sums import dot_last, norm, rescaled_norm
 
 # the point each block of a parallel sweep projects, by variant
 _PARALLEL_TARGETS = {
@@ -267,13 +267,9 @@ def _max_block_norm(r: np.ndarray) -> float:
 
 
 def _in_range(norm_of, r: np.ndarray) -> float:
-    """``norm_of(r)``; where its squares overflow, 2^e norm_of(2^-e r) for the
-    e that brings r's largest |coordinate| into [0.5, 1), an exact scaling."""
+    """``norm_of(r)``; where its squares overflow, its ``rescaled_norm``."""
     value = norm_of(r)
-    if value == math.inf:
-        e = top_exponent(r.ravel().tolist())
-        value = pow2(norm_of(pow2(r, -e)), e)
-    return value
+    return rescaled_norm(norm_of, r) if value == math.inf else value
 
 
 def _iterate(family, x, target_of, step, obj, cfg, label) -> ProductSolution:

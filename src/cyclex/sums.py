@@ -7,16 +7,20 @@ so this order alone fixes the bits on every CPU, numpy and Python
 version.  BLAS (``@``, ``np.dot``, ``np.vdot``, a 1-D ``np.linalg.norm``)
 picks its summation kernel per CPU, and the builtin ``sum`` of floats
 compensates from Python 3.12: cyclex uses neither.  The exact scaling
-by powers of two that the range fallbacks share is here too.
+by powers of two that the range fallbacks share is here too, and
+``compiled``, which makes the straight-line kernels of one dimension.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
+import re
+from functools import lru_cache, reduce
 from operator import add, mul
 
 import numpy as np
+
+_ROOT_TINY = 2.0**-511  # the square root of the smallest normal float
 
 
 def top_exponent(values) -> int:
@@ -29,6 +33,13 @@ def pow2(v, e):
     return v * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
 
 
+def rescaled_norm(norm_of, r):
+    """``norm_of(r)``, a norm of the array r, as 2^e norm_of(2^-e r) for the e that
+    brings r's largest |coordinate| into [0.5, 1), where no square overflows."""
+    e = top_exponent(r.ravel().tolist())
+    return pow2(norm_of(pow2(r, -e)), e)
+
+
 def dot(u, v) -> float:
     """u . v of two sequences of Python floats."""
     return reduce(add, map(mul, u, v))
@@ -37,6 +48,20 @@ def dot(u, v) -> float:
 def norm(w) -> float:
     """sqrt(w . w) of a sequence of Python floats."""
     return math.sqrt(reduce(add, map(mul, w, w)))
+
+
+def norms_last(u, norm_of=None, underflow=True):
+    """``norm_of(u)`` along the last axis, by default the bits of ``norm``; a row whose norm
+    overflows, or (``underflow``) is subnormal, rescales.  Without it the caller silences overflows."""
+    norm_of = norm_of or (lambda v: np.sqrt(dot_last(v, v)))
+    if not underflow and math.isfinite(np.add.reduce(n := norm_of(u), axis=None)):
+        return n
+    with np.errstate(over="ignore"):
+        n = np.array(norm_of(u))
+        rows, flat, low = u.reshape(-1, u.shape[-1]), n.reshape(-1), _ROOT_TINY if underflow else 0.0
+        for i in np.flatnonzero(~((flat >= low) & (flat < math.inf))):
+            flat[i] = rescaled_norm(norm_of, rows[i]) if rows[i].any() else 0.0
+    return n
 
 
 def dot_last(u, v):
@@ -56,3 +81,45 @@ def dot_last(u, v):
             total += p[..., j]
         return total
     return np.add.accumulate(p, axis=-1)[..., -1]
+
+
+_SUM_TERMS = 64  # terms per statement: one expression of d terms nests d deep in the compiler
+
+
+@lru_cache(maxsize=64)
+def compiled(template: str, d: int) -> dict:
+    """The namespace of the constant ``template``, expanded for dimension d, executed:
+    ``ALL(e)`` becomes ``e_0, e_1, ..., e_{d-1},``, e_i being e (no parentheses) with
+    each ``{i}`` replaced by i; a line ``s = SUM(e)`` adds e_0 + e_1 + ... left to right
+    in statements of at most ``_SUM_TERMS`` terms; other lines with ``{i}`` repeat per i."""
+    lines = []
+    for line in template.splitlines():
+        total = re.fullmatch(r"(\s*)(\w+) = SUM\((.*)\)", line)
+        if total:
+            indent, name, term = total.groups()
+            terms = [term.replace("{i}", str(i)) for i in range(d)]
+            for k in range(0, d, _SUM_TERMS):
+                lines.append(f"{indent}{name} = " + " + ".join(([name] if k else []) + terms[k : k + _SUM_TERMS]))
+            continue
+        line = re.sub(r"ALL\(([^()]*)\)", lambda m: "".join(f"{m[1]}, ".replace("{i}", str(i)) for i in range(d)), line)
+        lines.extend([line.replace("{i}", str(i)) for i in range(d)] if "{i}" in line else [line])
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace
+
+
+_DISTANCE = """\
+from math import sqrt
+def distance(u, v):
+    ALL(u{i}) = u
+    ALL(v{i}) = v
+    w{i} = u{i} - v{i}
+    ww = SUM(w{i} * w{i})
+    return sqrt(ww)
+"""
+
+
+def distance_kernel(d: int):
+    """``distance(u, v)`` of two length-d lists of Python floats, compiled
+    for d: the bits of ``norm`` of their difference u - v."""
+    return compiled(_DISTANCE, d)["distance"]

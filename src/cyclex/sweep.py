@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from operator import sub
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,7 +18,7 @@ from .config import SolverConfig
 from .csvio import write_csv
 from .errors import LengthMismatch, NotConverged
 from .geometry import Family, as_vector
-from .sums import norm
+from .sums import distance_kernel, norm
 
 
 @dataclass(frozen=True)
@@ -105,10 +104,11 @@ def cycle_residual(family: Family, points) -> float:
     pts = [as_vector(p, family.dim).tolist() for p in points]
     if len(pts) != family.m:
         raise LengthMismatch(f"expected {family.m} points, got {len(pts)}")
+    distance = distance_kernel(family.dim)
     worst = 0.0
     for i in range(family.m):
         succ = pts[(i + 1) % family.m]
-        gap = norm(list(map(sub, pts[i], family.sets[i]._project(succ))))
+        gap = distance(pts[i], family.sets[i]._project(succ))
         if gap > worst:
             worst = gap
     return worst
@@ -136,6 +136,7 @@ def run_periodic(family: Family, x0, cfg: Optional[SolverConfig] = None):
         )
     m = family.m
     chain = [family.sets[i]._project for i in default_order(m)]
+    distance = distance_kernel(family.dim)
     sweep_tol = cfg.sweep_tol
     x = start.tolist()
     flat = []  # the coordinates of every projection output, in order
@@ -148,7 +149,7 @@ def run_periodic(family: Family, x0, cfg: Optional[SolverConfig] = None):
             x = project(x)
             record(x)
         sweeps_used = n + 1
-        displacement = norm(list(map(sub, x, x_prev)))
+        displacement = distance(x, x_prev)
         if displacement <= sweep_tol:
             stop_reason = "converged"
             break

@@ -5,6 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
+from itertools import repeat
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -282,9 +285,28 @@ def pairwise_squared_loop(y):
     return total / (2.0 * (m - 1.0))
 
 
+def rescaled_norm_oracle(norm_of, row, underflow=True):
+    """``norm_of(row)`` of a 1-D row; where the row is nonzero and its square
+    sum overflows, or (``underflow``) is subnormal (its root below 2^-511),
+    2^e norm_of(2^-e row) with 2^e above the row's largest |coordinate| by
+    less than a factor of two."""
+    value = float(norm_of(row))
+    if math.isnan(value) or not row.any() or (2.0**-511 if underflow else 0.0) <= value < math.inf:
+        return value
+    e = math.frexp(float(np.max(np.abs(row))))[1]
+    return math.ldexp(float(norm_of(np.array([math.ldexp(v, -e) for v in row.tolist()]))), e)
+
+
+def in_order_norm_oracle(row, underflow=True):
+    """The in-order norm of a 1-D row, rescaled where its squares leave the range."""
+    return rescaled_norm_oracle(lambda v: math.sqrt(dot_in_order(v, v)), np.asarray(row, float), underflow)
+
+
 def perimeter_formula(y):
-    """Sum of the cyclic block distances of one (m, d) tuple."""
-    return np.sum(np.linalg.norm(y - np.roll(y, -1, axis=0), axis=1))
+    """Sum of the cyclic block distances of one (m, d) tuple; an edge whose
+    squares overflow is rescaled."""
+    edges = y - np.roll(y, -1, axis=0)
+    return np.sum([rescaled_norm_oracle(lambda v: np.linalg.norm(v, axis=-1), e, False) for e in edges])
 
 
 def cyclic_squared_formula(y):
@@ -306,7 +328,7 @@ CANDIDATE_FORMULAS = {
     "pairwise2": pairwise_squared_loop,
     "cyclic2": cyclic_squared_formula,
     "constant": lambda y: 0.0,
-    "tuple_norm": lambda y: math.sqrt(dot_in_order(y.ravel(), y.ravel())),
+    "tuple_norm": lambda y: in_order_norm_oracle(y.ravel(), underflow=False),
 }
 
 
@@ -386,3 +408,89 @@ def falsify_candidate_loop(candidate, m, z, rho, sphere_samples, rng):
         if violated:
             return FalsificationReport(candidate.label, chain, name, float(gap), VERDICT_FALSIFIED)
     return FalsificationReport(candidate.label, chain, None, 0.0, VERDICT_LOOP_SATISFIED)
+
+
+_TINY = sys.float_info.min
+
+
+# The hand-written single-point kernels that the compiled templates of
+# cyclex.geometry replaced, kept verbatim as oracles.  A set of one of these
+# subclasses projects through its method, and so does the copy its
+# ``_rescaled`` makes, which has the same class.
+dot = dot_in_order  # the name the kernels call
+
+
+class SingletonOracle(Singleton):
+    def _project(self, x):
+        return list(self._point)
+
+
+class SegmentOracle(Segment):
+    def _project(self, x):
+        a = self._a
+        d = list(map(sub, self._b, a))
+        w = list(map(sub, x, a))
+        dd = dot(d, d)
+        t = dot(w, d) / dd if _TINY <= dd < math.inf else math.nan
+        if not (math.isfinite(t) or self._scaled):
+            return self._rescaled(x)
+        # clamped parameters, and a = b in the copy of _rescaled, return a stored endpoint bit-exactly
+        if not t > 0.0:
+            return list(a)
+        if t >= 1.0:
+            return list(self._b)
+        return [ai + t * di for ai, di in zip(a, d)]
+
+
+class RayOracle(Ray):
+    def _project(self, x):
+        u = self._direction
+        t = dot(x, u) / dot(u, u)
+        if not (math.isfinite(t) or self._scaled):
+            return self._rescaled(x)
+        if t <= 0.0:
+            return [0.0] * self.dim
+        return [t * ui for ui in u]
+
+
+class BallOracle(Ball):
+    def _project(self, x):
+        c = self._center
+        w = list(map(sub, x, c))
+        ww = dot(w, w)
+        # a w . w that underflows is inside a ball of radius^2 in range
+        if not (_TINY <= ww < math.inf or ww < _TINY <= self._radius * self._radius or self._scaled):
+            return self._rescaled(x)
+        n = math.sqrt(ww)
+        if n <= self._radius:
+            return x
+        return list(map(add, c, map(mul, repeat(self._radius / n), w)))
+
+
+class BoxOracle(Box):
+    def _project(self, x):
+        # a tie returns the bound (np.clip's rule), which fixes the sign of a zero
+        return [lo if v <= lo else hi if v >= hi else v for v, lo, hi in zip(x, self._lower, self._upper)]
+
+
+class HalfspaceOracle(Halfspace):
+    def _project(self, x):
+        u = self._normal
+        s = dot(u, x) - self._offset
+        if s <= 0.0:
+            return x
+        k = s / dot(u, u)
+        if not (math.isfinite(k) or self._scaled):
+            return self._rescaled(x)
+        return [xi - k * ui for xi, ui in zip(x, u)]
+
+
+KERNEL_ORACLES = {
+    cls.__base__: cls
+    for cls in (SingletonOracle, SegmentOracle, RayOracle, BallOracle, BoxOracle, HalfspaceOracle)
+}
+
+
+def kernel_oracle(s):
+    """The set ``s`` again, projecting through its hand-written kernel."""
+    return KERNEL_ORACLES[type(s)](**{name: getattr(s, name) for name in s._fields})

@@ -388,12 +388,42 @@ class TestMain:
         assert "could not parse point '1,abc'" in err[0]
         assert "Traceback" not in err[0]
 
-    @pytest.mark.parametrize("candidate", ["perimeter", "cyclic2", "pairwise2", "tuple_norm"])
+    @pytest.mark.parametrize("candidate", ["cyclic2", "pairwise2"])
     def test_falsify_overflow_is_one_line_error(self, candidate, capsys):
         # the probes' squares overflow; numpy warnings are errors under pytest
         assert main(["falsify", "--candidate", candidate, "--m", "3", "--rho", "1e200"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: candidate {candidate!r} returned a non-finite value"]
+
+    @pytest.mark.parametrize("candidate, value", [("perimeter", 2e200), ("tuple_norm", 1e200)])
+    def test_falsify_norms_whose_squares_overflow(self, candidate, value, capsys):
+        # only the squares leave the float range: the values are finite
+        assert main(["falsify", "--candidate", candidate, "--m", "3", "--rho", "1e200"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["chain"] == [value] * 4
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "x, y, n, start, final",
+        [
+            ([1e200, 0.0], [0.0, 1e300], 3, 1e300, 6.49519052838329e299),
+            ([1e-200, 0.0], [0.0, 1e-170], 2, 1e-170, 5e-171),
+            ([1e150, 0.0], [0.0, 1e160], 2, 1e160, 5e159),
+        ],
+        ids=["overflow", "underflow", "start_overflow"],
+    )
+    def test_spiral_norms_whose_squares_leave_the_range(self, tmp_path, x, y, n, start, final, capsys):
+        # every norm the spiral checks or reports rescales; numpy warnings are errors under pytest
+        assert main(["spiral", "--x", ",".join(map(repr, x)), "--y", ",".join(map(repr, y)), "--n", str(n)]) == 0
+        out, err = capsys.readouterr()
+        rows = [list(map(float, line.split(","))) for line in out.splitlines()[1:]]
+        assert len(rows) == n + 1 and all(math.isfinite(v) for row in rows for v in row)
+        assert rows[0][-1] == start and rows[-1][-1] == final
+        assert err.splitlines() == [f"final_norm={final!r}"]
+        assert run_main(tmp_path, {"kind": "spiral", "x": x, "y": y, "n": n}) == 0
+        payload = json.loads((tmp_path / "out" / "spiral.json").read_text())
+        assert (payload["start_norm"], payload["final_norm"]) == (start, final)
+        assert payload["alpha"] == math.pi / 2
 
     def test_falsify_defaults_are_the_config_defaults(self, tmp_path):
         # no --z, --sphere-samples or --seed: the falsify kind's defaults apply

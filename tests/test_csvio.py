@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import csv_writer_bytes, dot_in_order
+from conftest import csv_writer_bytes, in_order_norm_oracle
 from cyclex import Trajectory
 from cyclex.csvio import _BLOCK_CELLS
 from cyclex.impossibility import write_spiral_csv
@@ -49,7 +49,7 @@ def test_spiral_csv_blocks(tmp_path, d):
         path = tmp_path / f"spiral{n}.csv"
         with np.errstate(over="ignore", invalid="ignore"):
             write_spiral_csv(points, path)
-            rows = [[k, *row, math.sqrt(dot_in_order(row, row))] for k, row in enumerate(points)]
+            rows = [[k, *row, in_order_norm_oracle(row)] for k, row in enumerate(points)]
         header = ["k", *(f"x_{j}" for j in range(d)), "norm"]
         assert path.read_bytes() == csv_writer_bytes(header, rows), n
 

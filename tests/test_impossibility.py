@@ -397,7 +397,7 @@ def test_falsifier_memory_is_bounded_by_the_probe_stack():
     assert peak < 2 * 2**20
 
 
-@pytest.mark.parametrize("name", ["perimeter", "cyclic2", "pairwise2", "tuple_norm"])
+@pytest.mark.parametrize("name", ["cyclic2", "pairwise2"])
 def test_builtin_candidate_called_directly_raises_only_its_error(name):
     # the single-tuple path runs under the same errstate as the stacked one
     tup = np.array([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]])
@@ -405,3 +405,17 @@ def test_builtin_candidate_called_directly_raises_only_its_error(name):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^candidate '{name}' returned a non-finite value$"):
             BUILTIN_CANDIDATES[name](tup)
+
+
+@pytest.mark.parametrize("name", ["perimeter", "tuple_norm"])
+def test_norm_candidates_rescale_squares_past_the_float_range(name):
+    # only the squares overflow: both paths give the finite value, with no warning
+    tup = np.array([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]])
+    candidate = BUILTIN_CANDIDATES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = candidate(tup)
+        assert candidate._values(np.stack([tup, tup / 1e100])).tolist() == [got, candidate(tup / 1e100)]
+    with np.errstate(over="ignore"):
+        assert got == CANDIDATE_FORMULAS[name](tup)
+    assert got == pytest.approx({"perimeter": 2.0 + math.sqrt(2.0), "tuple_norm": math.sqrt(2.0)}[name] * 1e200, rel=1e-15)
