@@ -24,17 +24,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from operator import sub
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from .config import SolverConfig
 from .errors import ConfigValidation, CyclexError, NotConverged
-from .geometry import Family, as_vector, from_descriptor, project
+from .geometry import Family, as_floats, as_vector, from_descriptor, project
 from .impossibility import (
     BUILTIN_CANDIDATES,
     UNIT_NORM_TOL,
@@ -93,6 +93,8 @@ class ExperimentConfig:
 def _numbers(value, name):
     """``value`` if it is an int or float (never a bool) or nested lists of
     them; numpy alone would read JSON ``true`` as 1.0 and ``"5"`` as 5.0."""
+    if type(value) is list and {*map(type, value)} <= {int, float}:  # a flat point
+        return value
     pending = [value]
     while pending:  # a loop, not recursion: JSON nests as deep as its parser allows
         item = pending.pop()
@@ -489,11 +491,12 @@ def _json_text(payload: dict) -> str:
 
 
 def _out_paths(config: ExperimentConfig, out_dir):
-    base = Path(out_dir) if out_dir is not None else Path(".")
-    base.mkdir(parents=True, exist_ok=True)
+    base = out_dir or ""  # the current directory
+    if base and not os.path.isdir(base):
+        os.makedirs(base, exist_ok=True)
 
     def resolve(explicit, suffix):  # an absolute path replaces base
-        return base / (f"{config.kind}.{suffix}" if explicit is None else explicit)
+        return os.path.join(base, f"{config.kind}.{suffix}" if explicit is None else explicit)
 
     return resolve(config.out_csv, "csv"), resolve(config.out_json, "json")
 
@@ -514,7 +517,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> int:
         csv_path, json_path = _out_paths(config, out_dir)
         if kind.csv:
             write_csv(csv_path)
-        json_path.write_text(_json_text(payload))
+        with open(json_path, "w") as fh:
+            fh.write(_json_text(payload))
     except _ERRORS as exc:
         return _report(exc)
     return code
@@ -531,14 +535,15 @@ def _report(exc: Exception) -> int:
 
 def _parse_point(text: str) -> list:
     try:
-        return as_vector([float(tok) for tok in text.split(",") if tok.strip() != ""]).tolist()
+        return as_floats([float(tok) for tok in text.split(",") if tok.strip() != ""])[1]
     except ValueError as exc:
         raise ConfigValidation([f"could not parse point {text!r}: {exc}"]) from exc
 
 
 def _cmd_run(args) -> int:
     try:
-        data = json.loads(Path(args.config).read_text())
+        with open(args.config or ".") as fh:  # "" names the current directory
+            data = json.loads(fh.read())
     except json.JSONDecodeError as exc:
         print(
             f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}",
@@ -596,7 +601,8 @@ def _cmd_falsify(args) -> int:
     text = _json_text(payload)
     print(text, end="")
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as fh:
+            fh.write(text)
     return code
 
 

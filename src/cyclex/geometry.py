@@ -12,11 +12,12 @@ a membership ``sample`` used by probe-style tests, and a JSON
 ``descriptor`` round-trip built from the same fields; ``from_descriptor``
 finds the class by the descriptor's ``type`` in one registry.
 
-A closed-form variant's one kernel is its ``_template`` (template -> compile
-per (variant, d) -> lazy bind): straight-line code for dimension d compiled
-once per process (``cyclex.sums.compiled``) when a set of that variant and d
-first projects one point, which binds its fields into it.  Nothing compiles at
-import; the ellipsoid and the affine subspace keep hand-written kernels.
+A variant's one kernel is its ``_template`` (template -> compile per
+(variant, d) -> lazy bind): straight-line code for dimension d compiled once
+per process (``cyclex.sums.compiled``) when a set of that variant and d first
+projects one point, which binds its fields into it.  The ellipsoid's holds its
+secular Newton loop, unrolled per coordinate.  Nothing compiles at import;
+only the affine subspace keeps a hand-written kernel.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import math
 import sys
 import textwrap
 from dataclasses import dataclass, fields
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain
-from operator import add, mul, sub, truediv
+from operator import gt, sub
 
 import numpy as np
 
@@ -45,32 +46,40 @@ Rows = np.ndarray  # a 2-D array of row vectors, left to its variant
 Direction = np.ndarray  # a vector field that does not scale with the set
 
 # Ball._kernel projects a group of balls from this many rows up, the row loop below it
-# (Box._kernel from two).  project_blocks, best of 7 x 3000 calls, d = 2..4 (numpy 2.4.6,
-# 2-vCPU VM): ball (box) kernel 13.5-17 us (8-10), compiled row loop 5-5.5 (4.4-4.8) for two
-# rows and 13-15 (9-10) for eleven (eight).  Thresholds stay where the batched-kernel tests reach.
-_BALL_BATCH_ROWS = 4
+# (Box._kernel from eight).  project_blocks, best of 7 x 3000 calls, d = 2..4 (numpy 2.4.6,
+# 2-vCPU VM): the ball (box) kernel costs 12.5-15 us (8-9.5) at any row count, the compiled
+# row loop 4.4-5.4 us for two rows and as much as the kernel at 10-13 (7-8) rows.
+_BALL_BATCH_ROWS = 12
 
 
 def as_vector(x, dim=None) -> np.ndarray:
     """Coerce ``x`` to a finite 1-D float64 array, optionally checking length."""
+    return as_floats(x, dim)[0]
+
+
+def as_floats(x, dim=None):
+    """``as_vector(x, dim)`` and the list of its Python floats, on which it is checked."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a nonempty 1-D point, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    floats = v.tolist()
+    if not all(map(math.isfinite, floats)):
         raise ValueError("point has non-finite coordinates")
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatch(f"point has dimension {v.shape[0]}, expected {dim}")
-    return v
+    return v, floats
 
 
-def _frozen(x, name) -> np.ndarray:
+def _frozen(x, name):
+    """A read-only copy of the vector field ``name`` and the list of its Python floats."""
     v = np.array(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D array")
-    if not np.isfinite(v).all():
+    floats = v.tolist()
+    if not all(map(math.isfinite, floats)):
         raise ValueError(f"{name} has non-finite entries")
     v.flags.writeable = False
-    return v
+    return v, floats
 
 
 class ConvexSet:
@@ -87,11 +96,13 @@ class ConvexSet:
     ``_exponent`` brings the largest coordinate of x and of every field but
     a direction into [0.5, 1); the copy's kernel (``_scaled``) runs to the end.
 
-    A closed-form variant's ``_template`` is the body of ``project(x)`` over
-    ``x{i}``, its fields ``_name`` (as ``name{i}`` or ``name``), ``scaled`` and
-    ``rescaled``.  ``_project`` is it compiled for dim and bound to the set on
-    first access, so ``s._project`` is the kernel itself; copies, and the copy
-    of ``_rescaled``, bind their own.  Other variants define ``_project``.
+    A variant's ``_template`` is the body of ``project(x)`` over ``x{i}``, its
+    fields ``_name`` (as ``name{i}`` or ``name``) and the ``_binds`` names
+    (``scaled``, ``rescaled``, and for the ellipsoid ``normal_axes``), also
+    without the underscore.  ``_project`` is it compiled for dim and bound to
+    the set on first access, so ``s._project`` is the kernel itself; copies,
+    and the copy of ``_rescaled``, bind their own.  ``AffineSubspace``, the one
+    variant without a template, defines ``_project``.
 
     A variant with a closed form may add ``_kernel(sets)``, one batched
     projection of stacked rows, row i onto ``sets[i]`` (all of its type),
@@ -106,17 +117,20 @@ class ConvexSet:
     _batch_rows = math.inf
     _scaled = False
     _template = None
+    _binds = ("scaled", "rescaled")
 
     def __post_init__(self):
         first = self._converted[0][0]
         for name, vector, scales in self._converted:
-            value = _frozen(getattr(self, name), name) if vector else float(getattr(self, name))
+            if vector:
+                value, own = _frozen(getattr(self, name), name)
+            else:
+                value = own = float(getattr(self, name))
             if name == first:
                 object.__setattr__(self, "dim", value.shape[0])
             elif vector and value.shape[0] != self.dim:
                 raise DimensionMismatch(f"{name} must match the dimension of {first}")
             object.__setattr__(self, name, value)
-            own = value.tolist() if vector else value
             if not scales:
                 if not any(own):
                     raise ValueError(f"{name} must be nonzero")
@@ -126,14 +140,14 @@ class ConvexSet:
 
     def project(self, x) -> np.ndarray:
         """Nearest point of the set to ``x``."""
-        return np.array(self._project(as_vector(x, self.dim).tolist()))
+        return np.array(self._project(as_floats(x, self.dim)[1]))
 
     @cached_property
     def _project(self):
         if self._template is None:
             raise NotImplementedError
         bind = compiled(self._source, self.dim)["bind"]
-        return bind(*(getattr(self, "_" + name) for name in self._fields), self._scaled, self._rescaled)
+        return bind(*(getattr(self, "_" + name) for name in self._fields + self._binds))
 
     def __getstate__(self):
         # the bound kernel is a closure, which does not pickle; a copy binds its own
@@ -192,8 +206,9 @@ def _variant(type_name):
         _SET_TYPES[type_name] = cls
         if cls._template:  # its source, compiled per d on first use; all its fields are converted
             cls._source = "\n".join([
-                f"from math import inf, isfinite, nan, sqrt\nTINY = {_TINY!r}",
-                f"def bind({', '.join(cls._fields)}, scaled, rescaled):",
+                f"from math import inf, isfinite, nan, sqrt\nfrom {__package__}.errors import EllipsoidNewtonFailure",
+                f"TINY, SECULAR_TOL, SECULAR_MAX_ITER = {_TINY!r}, {_SECULAR_TOL!r}, {_SECULAR_MAX_ITER!r}",
+                f"def bind({', '.join(cls._fields + cls._binds)}):",
                 *(f"    ALL({name}{{i}}) = {name}" for name, vector, _ in cls._converted if vector),
                 "    def project(x):\n        ALL(x{i}) = x",
                 textwrap.indent(textwrap.dedent(cls._template), " " * 8),
@@ -336,11 +351,11 @@ class Box(ConvexSet):
 
     def __post_init__(self):
         super().__post_init__()
-        if (self.lower > self.upper).any():
+        if any(map(gt, self._lower, self._upper)):
             raise ValueError("lower must be <= upper componentwise")
 
     bounded = True
-    _batch_rows = 2
+    _batch_rows = 8
     # a tie returns the bound (np.clip's rule), which fixes the sign of a zero
     _template = "return [ALL(lower{i} if x{i} <= lower{i} else upper{i} if x{i} >= upper{i} else x{i})]"
 
@@ -455,30 +470,57 @@ class Ellipsoid(ConvexSet):
 
     def __post_init__(self):
         super().__post_init__()
-        if (self.axes <= 0.0).any():
+        if min(self._axes) <= 0.0:
             raise ValueError("axes must be positive")
         object.__setattr__(self, "_normal_axes", all(_TINY <= a * a < math.inf for a in self._axes))
 
     bounded = True
-
-    def _project(self, x):
-        c, a = self._center, self._axes
-        w = list(map(sub, x, c))
-        if not self._scaled:  # the copy projects a point found outside; its axes may be 0
-            q = list(map(truediv, w, a))
-            if dot(q, q) <= 1.0:
+    _binds = ("normal_axes", "scaled", "rescaled")
+    _template = """
+        w{i} = x{i} - center{i}
+        # the copy of _rescaled projects a point found outside; its axes may be 0
+        if not scaled:
+            z{i} = w{i} / axes{i}
+            zz = SUM(z{i} * z{i})
+            if zz <= 1.0:
                 return x
-        a2 = list(map(mul, a, a))
-        aw = list(map(mul, a, w))
-        hh = dot(aw, aw)
-        # a^2 w stays finite where both a^2 and a w @ a w do
-        if not (self._normal_axes and _TINY <= hh < math.inf or self._scaled):
-            return self._rescaled(x)
-        t = _secular_root(aw, a2, math.sqrt(hh))
-        if self._scaled:
+        a2{i} = axes{i} * axes{i}
+        aw{i} = axes{i} * w{i}
+        hh = SUM(aw{i} * aw{i})
+        # a^2 w stays finite where both a^2 and a w . a w do
+        if not (normal_axes and TINY <= hh < inf or scaled):
+            return rescaled(x)
+        # 1/||v(t)|| is concave and increasing, so Newton on psi from left
+        # of the root climbs to it monotonically.  Every |v_i| <= 1 at the
+        # root, so the start t_0 lies left of it, and s(hi) < 1.
+        g{i} = abs(aw{i}) - a2{i}
+        lo = t = max(0.0, max((ALL(g{i}))))
+        hi = sqrt(hh)
+        for _ in range(SECULAR_MAX_ITER):
+            # a flat axis (a^2 = 0) at t = 0 has term 0; s = ||v(t)||^2, q = -s'(t) / 2
+            den{i} = a2{i} + t or inf
+            v{i} = aw{i} / den{i}
+            vv{i} = v{i} * v{i}
+            s = SUM(vv{i})
+            # stop at the tolerance, or where the root lies within one float of t
+            if abs(s - 1.0) <= SECULAR_TOL or lo == hi:
+                break
+            if s > 1.0:
+                lo = t
+            else:
+                hi = t
+            q = SUM(vv{i} / den{i})
+            t_new = t + s * (sqrt(s) - 1.0) / q if q else lo
+            t = t_new if lo < t_new < hi else 0.5 * (lo + hi)
+        else:
+            raise EllipsoidNewtonFailure(f"secular residual {s - 1.0:.3e} after {SECULAR_MAX_ITER} iterations")
+        if scaled:
             # this takes the limits of unbounded (a^2 = inf) and flat (a^2 = 0) axes
-            return [ci + (wi / (1.0 + t / a2i) if a2i else 0.0) for ci, wi, a2i in zip(c, w, a2)]
-        return [ci + a2i * wi / (a2i + t) for ci, a2i, wi in zip(c, a2, w)]
+            y{i} = center{i} + (w{i} / (1.0 + t / a2{i}) if a2{i} else 0.0)
+            return [ALL(y{i})]
+        y{i} = center{i} + a2{i} * w{i} / (a2{i} + t)
+        return [ALL(y{i})]
+    """
 
     def _exponent(self, x):
         # t scales as a^2: the largest |a_i w_i| (w halved is finite) goes to about 1
@@ -493,34 +535,6 @@ class Ellipsoid(ConvexSet):
             return self.center.copy()
         r = rng.random() ** (1.0 / self.dim)
         return self.center + self.axes * (r / nu) * u
-
-
-def _secular_root(aw, a2, hi):
-    """The multiplier t of an exterior point c + w and an ellipsoid of axes
-    a centered at c (see ``Ellipsoid``), from aw = a w, a2 = a^2, hi = ||a w||."""
-    # 1/||v(t)|| is concave and increasing, so Newton on psi from left
-    # of the root climbs to it monotonically.  Every |v_i| <= 1 at the
-    # root, so the start t_0 lies left of it, and s(hi) < 1.
-    lo = t = max(0.0, max(map(sub, map(abs, aw), a2)))
-    for _ in range(_SECULAR_MAX_ITER):
-        d = [a2i + t or math.inf for a2i in a2]  # a flat axis (a^2 = 0) at t = 0 has term 0
-        r = list(map(truediv, aw, d))
-        r2 = list(map(mul, r, r))
-        s = reduce(add, r2)  # ||v(t)||^2
-        if abs(s - 1.0) <= _SECULAR_TOL or lo == hi:  # or the root lies within one float of t
-            break
-        if s > 1.0:
-            lo = t
-        else:
-            hi = t
-        q = reduce(add, map(truediv, r2, d))  # -s'(t) / 2
-        t_new = t + s * (math.sqrt(s) - 1.0) / q if q else lo
-        t = t_new if lo < t_new < hi else 0.5 * (lo + hi)
-    else:
-        raise EllipsoidNewtonFailure(
-            f"secular residual {s - 1.0:.3e} after {_SECULAR_MAX_ITER} iterations"
-        )
-    return t
 
 
 def _on_row(project):

@@ -17,7 +17,7 @@ import numpy as np
 from .config import SolverConfig
 from .csvio import write_csv
 from .errors import LengthMismatch, NotConverged
-from .geometry import Family, as_vector
+from .geometry import Family, as_floats, as_vector
 from .sums import distance_kernel, norm
 
 
@@ -30,13 +30,13 @@ class Cycle:
 
     @classmethod
     def from_points(cls, family: Family, points) -> "Cycle":
-        # cycle_residual checks each point (as_vector returns the same array)
+        # cycle_residual checks each point
         pts = tuple(np.asarray(p, dtype=float) for p in points)
         return cls(points=pts, residual=cycle_residual(family, pts))
 
     def to_dict(self, sweeps: int, stop_reason: str) -> dict:
         return {
-            "points": [[float(c) for c in p] for p in self.points],
+            "points": [p.tolist() for p in self.points],
             "residual": float(self.residual),
             "sweeps": int(sweeps),
             "stop_reason": stop_reason,
@@ -80,7 +80,7 @@ def sweep_once(family: Family, x, order: Optional[Sequence[int]] = None):
     application order.  ``order`` lists 0-based set indices; the default
     applies set m-1 first, then m-2, ..., then set 0.
     """
-    x = as_vector(x, family.dim).tolist()
+    x = as_floats(x, family.dim)[1]
     if order is None:
         order = default_order(family.m)
     else:
@@ -101,7 +101,7 @@ def cycle_residual(family: Family, points) -> float:
     Zero exactly on cycles; otherwise the worst defect of the cycle
     relations over the family.
     """
-    pts = [as_vector(p, family.dim).tolist() for p in points]
+    pts = [as_floats(p, family.dim)[1] for p in points]
     if len(pts) != family.m:
         raise LengthMismatch(f"expected {family.m} points, got {len(pts)}")
     distance = distance_kernel(family.dim)
@@ -127,7 +127,8 @@ def run_periodic(family: Family, x0, cfg: Optional[SolverConfig] = None):
     (stop_reason "certificate_failed").
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    start = as_vector(x0, family.dim).copy()
+    start, x = as_floats(x0, family.dim)
+    start = start.copy()
     if not any(s.bounded for s in family.sets):
         warnings.warn(
             "no set in the family is bounded; the periodic iteration may not settle",
@@ -138,7 +139,6 @@ def run_periodic(family: Family, x0, cfg: Optional[SolverConfig] = None):
     chain = [family.sets[i]._project for i in default_order(m)]
     distance = distance_kernel(family.dim)
     sweep_tol = cfg.sweep_tol
-    x = start.tolist()
     flat = []  # the coordinates of every projection output, in order
     record = flat.extend
     stop_reason = "max_iterations"

@@ -7,7 +7,8 @@ import io
 import math
 import sys
 from itertools import repeat
-from operator import add, mul, sub
+from functools import reduce
+from operator import add, mul, sub, truediv
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from cyclex import (
     Segment,
     Singleton,
 )
+from cyclex.geometry import _SECULAR_MAX_ITER, _SECULAR_TOL
 from cyclex.sums import dot_last
 
 VARIANTS = (
@@ -485,9 +487,58 @@ class HalfspaceOracle(Halfspace):
         return [xi - k * ui for xi, ui in zip(x, u)]
 
 
+class EllipsoidOracle(Ellipsoid):
+    def _project(self, x):
+        c, a = self._center, self._axes
+        w = list(map(sub, x, c))
+        if not self._scaled:  # the copy projects a point found outside; its axes may be 0
+            q = list(map(truediv, w, a))
+            if dot(q, q) <= 1.0:
+                return x
+        a2 = list(map(mul, a, a))
+        aw = list(map(mul, a, w))
+        hh = dot(aw, aw)
+        # a^2 w stays finite where both a^2 and a w @ a w do
+        if not (self._normal_axes and _TINY <= hh < math.inf or self._scaled):
+            return self._rescaled(x)
+        t = _secular_root(aw, a2, math.sqrt(hh))
+        if self._scaled:
+            # this takes the limits of unbounded (a^2 = inf) and flat (a^2 = 0) axes
+            return [ci + (wi / (1.0 + t / a2i) if a2i else 0.0) for ci, wi, a2i in zip(c, w, a2)]
+        return [ci + a2i * wi / (a2i + t) for ci, a2i, wi in zip(c, a2, w)]
+
+
+def _secular_root(aw, a2, hi):
+    """The multiplier t of an exterior point c + w and an ellipsoid of axes
+    a centered at c (see ``Ellipsoid``), from aw = a w, a2 = a^2, hi = ||a w||."""
+    # 1/||v(t)|| is concave and increasing, so Newton on psi from left
+    # of the root climbs to it monotonically.  Every |v_i| <= 1 at the
+    # root, so the start t_0 lies left of it, and s(hi) < 1.
+    lo = t = max(0.0, max(map(sub, map(abs, aw), a2)))
+    for _ in range(_SECULAR_MAX_ITER):
+        d = [a2i + t or math.inf for a2i in a2]  # a flat axis (a^2 = 0) at t = 0 has term 0
+        r = list(map(truediv, aw, d))
+        r2 = list(map(mul, r, r))
+        s = reduce(add, r2)  # ||v(t)||^2
+        if abs(s - 1.0) <= _SECULAR_TOL or lo == hi:  # or the root lies within one float of t
+            break
+        if s > 1.0:
+            lo = t
+        else:
+            hi = t
+        q = reduce(add, map(truediv, r2, d))  # -s'(t) / 2
+        t_new = t + s * (math.sqrt(s) - 1.0) / q if q else lo
+        t = t_new if lo < t_new < hi else 0.5 * (lo + hi)
+    else:
+        raise EllipsoidNewtonFailure(
+            f"secular residual {s - 1.0:.3e} after {_SECULAR_MAX_ITER} iterations"
+        )
+    return t
+
+
 KERNEL_ORACLES = {
     cls.__base__: cls
-    for cls in (SingletonOracle, SegmentOracle, RayOracle, BallOracle, BoxOracle, HalfspaceOracle)
+    for cls in (SingletonOracle, SegmentOracle, RayOracle, BallOracle, BoxOracle, HalfspaceOracle, EllipsoidOracle)
 }
 
 

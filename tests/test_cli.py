@@ -624,6 +624,41 @@ def test_a_regular_file_as_out_dir_is_one_write_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("cannot write ")
 
 
+def test_a_regular_file_named_as_out_dir_is_one_write_error(tmp_path, capsys):
+    (tmp_path / "plain").write_text("")
+    assert run_main(tmp_path, PERIODIC, "--out-dir", str(tmp_path / "plain")) == 1
+    assert capsys.readouterr().err.splitlines() == [f"cannot write {tmp_path / 'plain'}: File exists"]
+
+
+def test_a_missing_nested_out_dir_is_created(tmp_path):
+    out = tmp_path / "a" / "b" / "c"
+    assert run_main(tmp_path, PERIODIC, "--out-dir", str(out)) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["periodic.csv", "periodic.json"]
+
+
+def test_an_empty_out_dir_is_the_current_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(PERIODIC))
+    assert main(["run", "--config", "cfg.json", "--out-dir", ""]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "periodic.csv", "periodic.json"]
+
+
+def test_an_empty_config_path_names_the_current_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", "", "--out-dir", "out"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["cannot read config: [Errno 21] Is a directory: '.'"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("center", [[0, True], [True, 0.5], [1.5, False, 2]])
+def test_a_bool_in_a_vector_field_is_one_config_error(tmp_path, capsys, center):
+    family = [{"type": "ellipsoid", "center": center, "axes": [1.0] * len(center)}, THREE_BALLS[0]]
+    assert run_main(tmp_path, with_value(PERIODIC, ["family"], family)) == 1
+    bad = next(v for v in center if type(v) is bool)
+    assert capsys.readouterr().err.splitlines() == [f"config error: family[0].center must hold only numbers, got {bad}"]
+
+
 @pytest.mark.parametrize(
     "config, expected",
     [

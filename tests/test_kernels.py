@@ -1,6 +1,7 @@
 """The compiled single-point kernels against the hand-written ones they replaced."""
 
 import copy
+import math
 import pickle
 
 import numpy as np
@@ -9,9 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kernel_oracle, make_set, project_rows_loop
-from cyclex import Ball, Box, ConvexSet, Family, SolverConfig, project_blocks, run_periodic
+from cyclex import (
+    Ball,
+    Box,
+    ConvexSet,
+    Ellipsoid,
+    EllipsoidNewtonFailure,
+    Family,
+    SolverConfig,
+    project_blocks,
+    run_periodic,
+)
 
 CLOSED_FORM = ("singleton", "segment", "ray", "ball", "box", "halfspace")
+COMPILED = CLOSED_FORM + ("ellipsoid",)
 
 
 def kernel_set(variant, dim, rng):
@@ -94,7 +106,84 @@ def test_one_set_projects_a_rescaled_point_then_another():
     assert hexes(second) == hexes(kernel_oracle(s).project([1e308, 0.0]))
 
 
-@pytest.mark.parametrize("variant", CLOSED_FORM)
+def outcome(s, x):
+    """The bits of ``s._project(x)``, or the message of the Newton failure it raises."""
+    try:
+        return hexes(s._project(np.asarray(x, float).tolist()))
+    except EllipsoidNewtonFailure as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dim=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    ratio=st.sampled_from([0, 2, 4]),
+    k=st.sampled_from([0, -300, -160, -5, 5, 160, 300]),
+    kinds=st.lists(st.sampled_from(["inside", "outside", "field", "zeros", "huge", "tiny"]), min_size=1, max_size=4),
+)
+def test_compiled_ellipsoid_equals_the_hand_written_one(dim, seed, ratio, k, kinds):
+    # axes 10^ratio apart; a badly scaled set or point goes through _rescaled,
+    # a Newton failure raises the same message
+    rng = np.random.default_rng(seed)
+    s = scaled_set(Ellipsoid(rng.uniform(-5, 5, dim), 10.0 ** rng.uniform(-ratio / 2, ratio / 2, dim)), k)
+    for kind in kinds:
+        x = probe_point(kind, s, k, rng)
+        assert outcome(s, x) == outcome(kernel_oracle(s), x)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 300])
+def test_compiled_ellipsoid_at_each_dimension(dim):
+    # d = 300 sums in statements of a bounded length inside the Newton loop
+    rng = np.random.default_rng(dim)
+    s = Ellipsoid(rng.uniform(-5, 5, dim), 10.0 ** rng.uniform(-2, 2, dim))
+    for kind in ("inside", "outside", "huge", "tiny"):
+        x = probe_point(kind, s, 0, rng)
+        assert outcome(s, x) == outcome(kernel_oracle(s), x)
+        assert hexes(s.project(x)) == hexes(kernel_oracle(s).project(x))
+
+
+def scaled_copy(s, axes):
+    """The copy ``_rescaled`` makes of the ellipsoid s, with the given axes."""
+    copy = object.__new__(type(s))
+    vars(copy).update(s.__getstate__(), _scaled=True, _axes=axes)
+    return copy
+
+
+@pytest.mark.parametrize("axis", [1e-200, 1e200])
+def test_scaled_copy_with_flat_or_unbounded_axes(axis):
+    # an a^2 out of range sends the point to _rescaled, whose copy holds a^2 = 0
+    # (a flat axis) or a^2 = inf (an unbounded one) and takes the limit formula
+    s = Ellipsoid([0.0, 0.0], [axis, 1.0])
+    a = math.ldexp(axis, -s._exponent([0.0, 3.0]))
+    assert a * a in (0.0, math.inf)
+    for x in ([0.0, 3.0], [0.5, -4.0], [-axis, 2.0]):
+        assert outcome(s, x) == outcome(kernel_oracle(s), x)
+    for axes in ((0.0, 1.0), (math.inf, 1.0), (0.0, math.inf), (math.inf, 0.5)):
+        for x in ([0.5, 3.0], [0.0, -2.0]):
+            assert outcome(scaled_copy(s, axes), x) == outcome(scaled_copy(kernel_oracle(s), axes), x)
+
+
+def test_ellipsoid_newton_failure_keeps_its_message():
+    # a subnormal a_0^2 at e = 0: the loop bisects towards t ~ 1e-320 for 200 steps
+    s = Ellipsoid([0.0, 0.0], [1e-160, 1.0])
+    with pytest.raises(EllipsoidNewtonFailure, match=r"^secular residual \S+ after 200 iterations$") as got:
+        s.project([3e-160, 0.5])
+    with pytest.raises(EllipsoidNewtonFailure) as want:
+        kernel_oracle(s).project([3e-160, 0.5])
+    assert str(got.value) == str(want.value)
+
+
+def test_one_ellipsoid_projects_a_rescaled_point_then_another():
+    # the rescaled point's copy binds its own kernel and leaves the set's alone
+    s = Ellipsoid([0.0, 0.0], [1.0, 2.0])
+    far, near = s.project([1e300, 1e300]), s.project([3.0, 3.0])
+    assert hexes(far) == hexes(kernel_oracle(s).project([1e300, 1e300]))
+    assert hexes(near) == hexes(Ellipsoid([0.0, 0.0], [1.0, 2.0]).project([3.0, 3.0]))
+    assert hexes(near) == hexes(kernel_oracle(s).project([3.0, 3.0]))
+
+
+@pytest.mark.parametrize("variant", COMPILED)
 def test_sets_pickle_and_copy_after_projecting(variant):
     rng = np.random.default_rng(3)
     s = make_set(variant, 3, rng)

@@ -416,23 +416,28 @@ ORACLE_CASES = st.integers(2, 12).flatmap(
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=ORACLE_CASES)
-def test_project_blocks_equals_row_loop(case):
-    # bit for bit, signs of zero included: every artifact is built from it
+@given(case=ORACLE_CASES, batched=st.booleans())
+def test_project_blocks_equals_row_loop(case, batched):
+    # bit for bit, signs of zero included: every artifact is built from it;
+    # ``batched`` sends every ball and box group, of any size, to its kernel
     family, y = oracle_case(*case)
     before = y.copy()
     want = project_rows_loop(family, y)
-    for _ in range(2):  # grouping the rows, then from the cached groups
-        got = project_blocks(family, y)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-        assert got.flags.c_contiguous
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (Ball, Box) if batched else ():
+            mp.setattr(cls, "_batch_rows", 1)
+        for _ in range(2):  # grouping the rows, then from the cached groups
+            got = project_blocks(family, y)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert got.flags.c_contiguous
     assert np.array_equal(y, before)
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e160])
-def test_badly_scaled_ball_groups_keep_the_row_bits(scale):
+def test_badly_scaled_ball_groups_keep_the_row_bits(scale, monkeypatch):
     # squares that underflow (overflow) send a batched group to the rows
+    monkeypatch.setattr(Ball, "_batch_rows", 1)
     rng = np.random.default_rng(5)
     family = Family(tuple(Ball(scale * rng.uniform(-1, 1, 3), scale * rng.uniform(0, 1)) for _ in range(6)))
     y = scale * rng.uniform(-2, 2, (6, 3))
@@ -617,13 +622,15 @@ def test_iteration_csv_equals_repr_per_cell(tmp_path_factory, m, d, span, offset
     assert path.read_bytes() == iteration_csv_bytes(log)
 
 
-@pytest.mark.parametrize("balls, kernel", [(2, False), (3, False), (4, True), (5, True)])
+@pytest.mark.parametrize("balls, kernel", [(2, False), (11, False), (12, True), (13, True)])
 def test_small_ball_groups_take_the_row_loop(balls, kernel):
-    # below the measured break-even of four rows the ball kernel costs more
-    sets = tuple(Ball([3.0 * i, 0.0], 1.0) for i in range(balls)) + (Box([0, 5], [1, 6]), Box([2, 5], [3, 6]))
+    # below the measured break-even of twelve rows (eight for boxes) the batched kernel costs more
+    boxes = 8 if kernel else 7
+    sets = tuple(Ball([3.0 * i, 0.0], 1.0) for i in range(balls))
+    sets += tuple(Box([3.0 * i, 5.0], [3.0 * i + 1.0, 6.0]) for i in range(boxes))
     family = Family(sets)
     batched = [rows.tolist() for rows, _ in family._blocks if isinstance(rows, np.ndarray)]
-    assert (list(range(balls)) in batched) == kernel
-    assert [balls, balls + 1] in batched  # two boxes already pay for their kernel
-    y = np.array([[3.0 * i + 0.5, 2.0] for i in range(balls)] + [[-1.0, 5.5], [4.0, 7.0]])
+    assert (list(range(balls)) in batched) == (balls >= 12)
+    assert (list(range(balls, balls + boxes)) in batched) == kernel
+    y = np.array([[3.0 * i + 0.5, 2.0] for i in range(balls)] + [[3.0 * i - 1.0, 7.0] for i in range(boxes)])
     assert project_blocks(family, y).tobytes() == project_rows_loop(family, y).tobytes()

@@ -229,6 +229,24 @@ def test_run_periodic_rows_replay_sweep_once(variants, dim, seed):
     assert_rows_replay_sweep_once(fam, traj)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    variants=st.lists(st.sampled_from(["ball", "box", "ellipsoid", "segment"]), min_size=2, max_size=4),
+    dim=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_periodic_certifies_the_cycle_it_returns(variants, dim, seed):
+    # the engine's certificate is the public residual of the points it reports
+    rng = np.random.default_rng(seed)
+    fam = Family(tuple(make_set(v, dim, rng) for v in variants))
+    try:
+        _, cycle = run_periodic(fam, rng.uniform(-10, 10, dim), SolverConfig(max_sweeps=300))
+    except NotConverged as exc:
+        cycle = exc.diagnostics["cycle"]
+    assert cycle.residual.hex() == cycle_residual(fam, cycle.points).hex()
+    assert cycle.to_dict(1, "converged")["points"] == [[float(c) for c in p] for p in cycle.points]
+
+
 def test_failed_certificate_is_its_own_stop_reason():
     # a loose sweep_tol stops after one sweep, far from the cycle
     fam = Family((Ball([0, 0], 1.0), Ball([5, 0], 1.0)))
