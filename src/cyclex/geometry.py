@@ -32,7 +32,7 @@ from operator import gt, sub
 
 import numpy as np
 
-from .errors import DimensionMismatch, EllipsoidNewtonFailure
+from .errors import DimensionMismatch
 from .sums import compiled, dot, dot_last, norm, pow2, top_exponent
 
 ORTHONORMAL_TOL = 1e-12

@@ -145,9 +145,9 @@ def test_compiled_ellipsoid_at_each_dimension(dim):
 
 def scaled_copy(s, axes):
     """The copy ``_rescaled`` makes of the ellipsoid s, with the given axes."""
-    copy = object.__new__(type(s))
-    vars(copy).update(s.__getstate__(), _scaled=True, _axes=axes)
-    return copy
+    twin = object.__new__(type(s))
+    vars(twin).update(s.__getstate__(), _scaled=True, _axes=axes)
+    return twin
 
 
 @pytest.mark.parametrize("axis", [1e-200, 1e200])
