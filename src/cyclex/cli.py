@@ -25,6 +25,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from operator import sub
@@ -650,9 +651,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_values(argv) -> list:
+    """``argv`` with ``--flag -3,1`` as ``--flag=-3,1``: argparse takes a value that starts
+    with a minus sign and a digit for an option unless it is one plain number."""
+    out = []
+    for arg in argv:
+        if re.match(r"-\.?\d", arg) and out and re.fullmatch(r"--\w[\w-]*", out[-1]):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
         return exc.code
     try:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -32,8 +31,8 @@ from .errors import (
     InvalidUnitVector,
 )
 from .geometry import Family, Segment, Singleton, as_vector
-from .product import OBJECTIVES, as_product_point, solve_projected_gradient, stack_size
-from .sums import dot, norm, norms_last, top_exponent
+from .product import OBJECTIVES, _max_block_norm, as_product_point, solve_projected_gradient, stack_size
+from .sums import dot, norm, norms_last
 from .sweep import Cycle, run_periodic
 
 _COLLINEAR_RTOL = 1e-12
@@ -73,13 +72,26 @@ class SpiralSpec:
 
     @property
     def alpha(self) -> float:
-        """Angle between target and start, in [0, pi]."""
-        x, y = self.target.tolist(), self.start.tolist()
-        if not all(sys.float_info.min <= dot(v, v) < math.inf for v in (x, y)):
-            # each scaled by a power of two, exactly, so that no square leaves the range
-            x, y = ([math.ldexp(c, -top_exponent(v)) for c in v] for v in (x, y))
-        c = dot(x, y) / (norm(x) * norm(y))
-        return math.acos(min(1.0, max(-1.0, c)))
+        """The angle in [0, pi] the spiral turns through: from the start to the target's ray."""
+        return self._frame[-1]
+
+    @functools.cached_property
+    def _frame(self):
+        """(||start||, start / ||start||, the target's unit part orthogonal to it or None
+        where the two are collinear, alpha), after checking the norm hypotheses."""
+        x, y = self.target, self.start
+        nx, ny = float(norms_last(x)), float(norms_last(y))
+        if nx == 0.0:
+            raise DegenerateInput("inner target must be nonzero")
+        if nx >= ny:
+            raise DegenerateInput(f"inner target norm {nx} must be strictly below start norm {ny}")
+        e1 = y / ny
+        along = dot(x.tolist(), e1.tolist())
+        residual = x - along * e1
+        n_res = float(norms_last(residual))
+        if n_res <= _COLLINEAR_RTOL * nx:
+            return ny, e1, None, 0.0 if along > 0.0 else math.pi
+        return ny, e1, residual / n_res, math.atan2(n_res, along)
 
 
 def spiral(spec: SpiralSpec):
@@ -92,26 +104,11 @@ def spiral(spec: SpiralSpec):
     collinear with the target at norm ||start|| * cos(alpha/n)^n.  Norms
     whose squares leave the float range rescale (``norms_last``).
     """
-    x, y, n = spec.target, spec.start, spec.n
-    nx = float(norms_last(x))
-    ny = float(norms_last(y))
-    if nx == 0.0:
-        raise DegenerateInput("inner target must be nonzero")
-    if nx >= ny:
-        raise DegenerateInput(
-            f"inner target norm {nx} must be strictly below start norm {ny}"
-        )
-
-    e1 = y / ny
-    along = dot(x.tolist(), e1.tolist())
-    residual = x - along * e1
-    n_res = float(norms_last(residual))
-
-    if n_res <= _COLLINEAR_RTOL * nx:
-        if along > 0.0:
-            # zero angle: every ray coincides with the start's ray
-            points = np.tile(y, (n + 1, 1))
-            return points, ny
+    y, n = spec.start, spec.n
+    ny, e1, e2, alpha = spec._frame
+    if e2 is None:
+        if alpha == 0.0:
+            return np.tile(y, (n + 1, 1)), ny  # zero angle: every ray is the start's
         if spec.plane is None:
             raise AntipodalAmbiguity(
                 "start and target are antipodal; supply a plane direction to break the tie"
@@ -121,10 +118,6 @@ def spiral(spec: SpiralSpec):
         if n_hint <= _COLLINEAR_RTOL * float(norms_last(spec.plane)):
             raise AntipodalAmbiguity("plane direction is collinear with the start")
         e2 = hint / n_hint
-        alpha = math.pi
-    else:
-        e2 = residual / n_res
-        alpha = math.atan2(n_res, along)
 
     # sequential ray projections, carried in plane coordinates (p, q)
     ps = np.empty(n + 1)
@@ -388,22 +381,9 @@ def falsify_candidate(
         (STRICT_2, v3 >= v4, v3 - v4),
         (EQUALITY_2, eq2_gap > eq_tol, eq2_gap),
     )
-    for name, violated, gap in links:
-        if violated:
-            return FalsificationReport(
-                candidate=candidate.label,
-                chain_values=(v1, v2, v3, v4),
-                violated_link=name,
-                gap=float(gap),
-                verdict=VERDICT_FALSIFIED,
-            )
-    return FalsificationReport(
-        candidate=candidate.label,
-        chain_values=(v1, v2, v3, v4),
-        violated_link=None,
-        gap=0.0,
-        verdict=VERDICT_LOOP_SATISFIED,
-    )
+    link, gap = next(((name, float(gap)) for name, violated, gap in links if violated), (None, 0.0))
+    verdict = VERDICT_LOOP_SATISFIED if link is None else VERDICT_FALSIFIED
+    return FalsificationReport(candidate.label, (v1, v2, v3, v4), link, gap, verdict)
 
 
 @dataclass(frozen=True)
@@ -446,14 +426,14 @@ def candidate_gap(family: Family, candidate_kind: str, x0, cfg: Optional[SolverC
     start = np.tile(x0, (family.m, 1))
     solution = solve_projected_gradient(family, obj, start, cfg)
     cyc_blocks = np.stack(cycle.points)
-    gap = obj.value(cyc_blocks) - obj.value(solution.blocks)
-    displacement = float(np.max(np.linalg.norm(cyc_blocks - solution.blocks, axis=1)))
+    with np.errstate(over="ignore"):  # both values inf make the gap nan, not a warning
+        gap = obj.value(cyc_blocks) - obj.value(solution.blocks)
     return GapExhibit(
         candidate_kind=candidate_kind,
         cycle=cycle,
         minimizer=solution.blocks,
         gap=float(gap),
-        displacement=displacement,
+        displacement=_max_block_norm(cyc_blocks - solution.blocks),
     )
 
 

@@ -19,7 +19,7 @@ from .config import SolverConfig
 from .csvio import reused_texts, write_csv
 from .errors import BlockCountMismatch, DimensionMismatch, InvalidStepSize, NotConverged, TooFewSets
 from .geometry import Family, as_vector
-from .sums import dot_last, norm, rescaled_norm
+from .sums import dot_last, in_range, norm
 
 # the point each block of a parallel sweep projects, by variant
 _PARALLEL_TARGETS = {
@@ -262,14 +262,8 @@ def solve_parallel(family: Family, x0, cfg: Optional[SolverConfig] = None, varia
 def _max_block_norm(r: np.ndarray) -> float:
     """max_i ||r_i|| over the rows of r, as ``np.max(np.linalg.norm(r, axis=1))``
     computes it: norm squares and add-reduces each row; sqrt is monotonic,
-    so one sqrt of the largest sum gives the same bits."""
-    return _in_range(lambda r: math.sqrt(np.add.reduce(r * r, axis=1).max()), r)
-
-
-def _in_range(norm_of, r: np.ndarray) -> float:
-    """``norm_of(r)``; where its squares overflow, its ``rescaled_norm``."""
-    value = norm_of(r)
-    return rescaled_norm(norm_of, r) if value == math.inf else value
+    so one sqrt of the largest sum gives the same bits, rescaled out of range (``in_range``)."""
+    return in_range(lambda r: math.sqrt(np.add.reduce(r * r, axis=1).max()), r)
 
 
 def _iterate(family, x, target_of, step, obj, cfg, label) -> ProductSolution:
@@ -291,7 +285,7 @@ def _iterate(family, x, target_of, step, obj, cfg, label) -> ProductSolution:
             stationarity = _max_block_norm(proj - x)
             x_new = step(n, x, proj)
             move = (x_new - x).ravel()
-            displacement = _in_range(lambda v: math.sqrt(dot_last(v, v)), move)
+            displacement = in_range(lambda v: math.sqrt(dot_last(v, v)), move)
             x = x_new
             iterates.append(x)
             moves.append((displacement, stationarity))

@@ -6,9 +6,11 @@ from the first product.  Python float arithmetic, elementwise ufuncs,
 so this order alone fixes the bits on every CPU, numpy and Python
 version.  BLAS (``@``, ``np.dot``, ``np.vdot``, a 1-D ``np.linalg.norm``)
 picks its summation kernel per CPU, and the builtin ``sum`` of floats
-compensates from Python 3.12: cyclex uses neither.  The exact scaling
-by powers of two that the range fallbacks share is here too, and
-``compiled``, which makes the straight-line kernels of one dimension.
+compensates from Python 3.12: cyclex uses neither.  The one range rule
+of every norm cyclex reports is here too: a norm whose squares overflow
+or underflow is taken again at an exact power-of-two scale (``norm``,
+``in_range``, ``norms_last``).  ``compiled`` makes the straight-line
+kernels of one dimension.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from operator import add, mul
 
 import numpy as np
 
-_ROOT_TINY = 2.0**-511  # the square root of the smallest normal float
+_TINY = 2.0**-1022  # the smallest normal float
+_ROOT_TINY = 2.0**-511  # its square root
 
 
 def top_exponent(values) -> int:
@@ -33,9 +36,13 @@ def pow2(v, e):
     return v * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
 
 
-def rescaled_norm(norm_of, r):
-    """``norm_of(r)``, a norm of the array r, as 2^e norm_of(2^-e r) for the e that
-    brings r's largest |coordinate| into [0.5, 1), where no square overflows."""
+def in_range(norm_of, r):
+    """``norm_of(r)``, a norm of the array r.  Where it overflows, or is below 2^-511 for
+    a nonzero r (its squares left the range), it is 2^e norm_of(2^-e r) for the e that
+    brings r's largest |coordinate| into [0.5, 1), where no square leaves the range."""
+    value = norm_of(r)
+    if not (value == math.inf or value < _ROOT_TINY and r.any()):
+        return value
     e = top_exponent(r.ravel().tolist())
     return pow2(norm_of(pow2(r, -e)), e)
 
@@ -46,8 +53,13 @@ def dot(u, v) -> float:
 
 
 def norm(w) -> float:
-    """sqrt(w . w) of a sequence of Python floats."""
-    return math.sqrt(reduce(add, map(mul, w, w)))
+    """sqrt(w . w) of a sequence of Python floats.  Where w is finite and nonzero but
+    w . w overflows or is below 2^-1022, it is 2^e norm(2^-e w) for the e that brings
+    the largest |w_i| into [0.5, 1): the rule ``norms_last`` applies to each row."""
+    ww = reduce(add, map(mul, w, w))
+    if _TINY <= ww < math.inf or ww != ww or not (e := top_exponent(w)):  # e = 0: w is 0 or has an inf
+        return math.sqrt(ww)
+    return pow2(norm([math.ldexp(c, -e) for c in w]), e)
 
 
 def norms_last(u, norm_of=None, underflow=True):
@@ -60,7 +72,7 @@ def norms_last(u, norm_of=None, underflow=True):
         n = np.array(norm_of(u))
         rows, flat, low = u.reshape(-1, u.shape[-1]), n.reshape(-1), _ROOT_TINY if underflow else 0.0
         for i in np.flatnonzero(~((flat >= low) & (flat < math.inf))):
-            flat[i] = rescaled_norm(norm_of, rows[i]) if rows[i].any() else 0.0
+            flat[i] = in_range(norm_of, rows[i])
     return n
 
 

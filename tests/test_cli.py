@@ -167,6 +167,15 @@ class TestRunExperiment:
         payload = json.loads((tmp_path / "pair_distance.json").read_text())
         assert payload["distance"] == pytest.approx(3.0, abs=1e-8)
 
+    def test_far_pair_distance_is_finite(self, tmp_path):
+        # the distance's squares overflow; the distance itself is about 1e200
+        family = [{"type": "ball", "center": [0, 0], "radius": 1}, {"type": "ball", "center": [1e200, 0], "radius": 1}]
+        cfg = validate_config({"kind": "pair_distance", "family": family, "start": [0, 5]})
+        assert run_experiment(cfg, out_dir=tmp_path) == 0
+        text = (tmp_path / "pair_distance.json").read_text()
+        assert "Infinity" not in text
+        assert json.loads(text)["distance"] == pytest.approx(1e200, rel=1e-15)
+
     def test_projected_gradient_artifacts(self, tmp_path):
         cfg = validate_config(
             {
@@ -800,6 +809,44 @@ def test_usage_errors_return_two(capsys):
     assert main(["spiral", "--x", "0,1"]) == 2
     assert main(["falsify", "--candidate", "nope", "--m", "3", "--rho", "2"]) == 2
     assert "usage:" in capsys.readouterr().err
+
+
+BALL_2D = '{"type":"ball","center":[0,0],"radius":1}'
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value, code",
+    [
+        (["project", "--set", BALL_2D], "--point", "-3,1", 0),
+        (["project", "--set", '{"type":"ball","center":[0],"radius":1}'], "--point", "-3e5", 0),
+        (["spiral", "--y", "1,0", "--n", "3"], "--x", "-0.05,0.1", 0),
+        (["spiral", "--x", "0.1,0.2", "--n", "3"], "--y", "-1,0.5", 0),
+        (["spiral", "--x", "-0.5,0", "--y", "1,0", "--n", "4"], "--plane", "-1,1", 0),
+        (["falsify", "--candidate", "perimeter", "--m", "3", "--rho", "2"], "--z", "-1,0", 0),
+        (["falsify", "--candidate", "perimeter", "--m", "3"], "--rho", "-1e5", 1),
+    ],
+    ids=["point", "point-exponent", "x", "y", "plane", "z", "rho"],
+)
+def test_a_value_may_start_with_a_minus_sign(capsys, argv, flag, value, code):
+    # "--point -3,1" reads as "--point=-3,1", which argparse alone reads the same way
+    assert main([*argv, f"{flag}={value}"]) == code
+    want = capsys.readouterr()
+    assert main([*argv, flag, value]) == code
+    assert capsys.readouterr() == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["project", "--set", BALL_2D, "--point"],
+        ["project", "--point", "--set", BALL_2D],
+        ["project", "--set", BALL_2D, "--point", "-h"],
+        ["falsify", "--candidate", "perimeter", "--m", "3", "--rho", "2", "--z", "-x"],
+    ],
+)
+def test_a_point_flag_without_its_point_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 # Contract: main returns 0, 1 or 2 for every input, raises nothing, and

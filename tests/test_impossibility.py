@@ -1,10 +1,11 @@
 import math
 import warnings
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CANDIDATE_FORMULAS, csv_writer_bytes, dot_in_order, falsify_candidate_loop, random_unit
@@ -32,6 +33,7 @@ from cyclex import (
     run_periodic,
     spiral,
 )
+from cyclex import impossibility
 from cyclex.impossibility import VERDICT_FALSIFIED, write_spiral_csv
 
 
@@ -253,6 +255,16 @@ class TestCandidateGap:
         with pytest.raises(ValueError):
             candidate_gap(fam, "perimeter", [0.0, 0.0])
 
+    @pytest.mark.parametrize("kind", ["cyclic2", "pairwise2"])
+    def test_far_balls_give_a_nan_gap_without_a_warning(self, kind):
+        # both objective values overflow, so their difference is inf - inf
+        fam = Family((Ball([0, 0], 1.0), Ball([1e200, 0], 1.0), Ball([0, 1e200], 1.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exhibit = candidate_gap(fam, kind, [0.0, 5.0])
+        assert math.isnan(exhibit.gap)
+        assert math.isfinite(exhibit.displacement)
+
 
 def spiral_csv_reference(points):
     d = points.shape[1]
@@ -419,3 +431,55 @@ def test_norm_candidates_rescale_squares_past_the_float_range(name):
     with np.errstate(over="ignore"):
         assert got == CANDIDATE_FORMULAS[name](tup)
     assert got == pytest.approx({"perimeter": 2.0 + math.sqrt(2.0), "tuple_norm": math.sqrt(2.0)}[name] * 1e200, rel=1e-15)
+
+
+class RecordingMath:
+    """The math module, recording every angle passed to ``cos``."""
+
+    def __init__(self):
+        self.angles = []
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def cos(self, theta):
+        self.angles.append(theta)
+        return math.cos(theta)
+
+
+@st.composite
+def spiral_specs(draw):
+    """A start and a strictly shorter target in d = 2..4, at one scale of 2^-600..2^600:
+    in general position, on the start's ray, or antipodal (with a plane)."""
+    d = draw(st.integers(2, 4))
+    coords = st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d)
+    scale = 2.0 ** draw(st.integers(-600, 600))
+    start = np.array(draw(coords)) * scale
+    assume(np.any(start != 0.0))
+    shape = draw(st.sampled_from(["general", "same", "antipodal"]))
+    if shape == "general":
+        target = np.array(draw(coords)) * scale
+    else:
+        target = draw(st.floats(0.01, 0.99)) * (1.0 if shape == "same" else -1.0) * start
+    nx, ny = math.hypot(*target), math.hypot(*start)
+    assume(0.0 < nx < 0.99 * ny)
+    plane = np.roll(start, 1) * np.arange(1.0, d + 1.0) + np.arange(d) * scale
+    return SpiralSpec(target, start, draw(st.integers(1, 20)), plane)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spiral_specs())
+@example(SpiralSpec([1.0, 1e-9], [2.0, 0.0], 5))
+@example(SpiralSpec([0.5, 0.0], [1.0, 0.0], 3))
+@example(SpiralSpec([-0.5, 0.0], [1.0, 0.0], 4, plane=[0.0, 1.0]))
+def test_spiral_alpha_is_the_angle_the_spiral_turns_through(spec):
+    # the last ray is at alpha * (n / n) = alpha; a spiral along the start's ray turns through 0
+    recording = RecordingMath()
+    with mock.patch.object(impossibility, "math", recording):
+        try:
+            spiral(spec)
+        except AntipodalAmbiguity:  # the drawn plane lies on the start's line
+            return
+    fresh = SpiralSpec(spec.target, spec.start, spec.n, spec.plane)
+    assert fresh.alpha == (recording.angles[-1] if recording.angles else 0.0)
+    assert spec.alpha == fresh.alpha
