@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from cyclex import Ball, CyclicSquared, Family, candidate_gap, project_blocks
+from cyclex.sums import max_distance
 
 
 def fd_gradient(obj, y, h=1e-6):
@@ -41,7 +42,7 @@ def main():
     cyc = np.stack(exhibit.cycle.points)
     gamma = 1.0 / obj.lipschitz_inverse_beta
     stepped = cyc - gamma * fd_gradient(obj, cyc)
-    residual = float(np.max(np.linalg.norm(project_blocks(fam, stepped) - cyc, axis=1)))
+    residual = max_distance(project_blocks(fam, stepped), cyc)
 
     print("periodic cycle:")
     for p in exhibit.cycle.points:

@@ -28,7 +28,6 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
-from operator import sub
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,7 +54,7 @@ from .product import (
     solve_projected_gradient,
     write_iteration_csv,
 )
-from .sums import norm, norms_last
+from .sums import distance_kernel, norm
 from .sweep import run_periodic, write_trajectory_csv
 
 # what constructing a value from outside input may raise (RecursionError: JSON nested too deep)
@@ -346,7 +345,7 @@ def _run_periodic(config):
 
 def _run_pair_distance(config):
     code, payload, write_csv = _run_periodic(config)
-    payload["distance"] = norm(list(map(sub, *payload["points"])))
+    payload["distance"] = distance_kernel(config.family.dim)(*payload["points"])
     return code, payload, write_csv
 
 
@@ -373,7 +372,7 @@ def _run_spiral(config):
     payload = {
         "alpha": float(spec.alpha),
         "n": spec.n,
-        "start_norm": float(norms_last(points[0])),
+        "start_norm": norm(points[0].tolist()),
         "final_norm": final_norm,
     }
     return 0, payload, lambda out: write_spiral_csv(points, out)

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-# Central defaults; the CLI documents and fills these.
+# SolverConfig's defaults, tabled in the README; a config file's "solver" object overrides them key by key.
 DEFAULTS = {
     "sweep_tol": 1e-12,
     "cycle_tol": 1e-9,

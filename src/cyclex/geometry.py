@@ -23,7 +23,6 @@ only the affine subspace keeps a hand-written kernel.
 from __future__ import annotations
 
 import math
-import sys
 import textwrap
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -33,11 +32,9 @@ from operator import gt, sub
 import numpy as np
 
 from .errors import DimensionMismatch
-from .sums import compiled, dot, dot_last, norm, pow2, top_exponent
+from .sums import TINY, compiled, distance_kernel, dot, dot_last, norm, pow2, top_exponent
 
 ORTHONORMAL_TOL = 1e-12
-
-_TINY = sys.float_info.min  # smallest positive normal float
 
 _SECULAR_TOL = 1e-13
 _SECULAR_MAX_ITER = 200
@@ -207,7 +204,7 @@ def _variant(type_name):
         if cls._template:  # its source, compiled per d on first use; all its fields are converted
             cls._source = "\n".join([
                 f"from math import inf, isfinite, nan, sqrt\nfrom {__package__}.errors import EllipsoidNewtonFailure",
-                f"TINY, SECULAR_TOL, SECULAR_MAX_ITER = {_TINY!r}, {_SECULAR_TOL!r}, {_SECULAR_MAX_ITER!r}",
+                f"TINY, SECULAR_TOL, SECULAR_MAX_ITER = {TINY!r}, {_SECULAR_TOL!r}, {_SECULAR_MAX_ITER!r}",
                 f"def bind({', '.join(cls._fields + cls._binds)}):",
                 *(f"    ALL({name}{{i}}) = {name}" for name, vector, _ in cls._converted if vector),
                 "    def project(x):\n        ALL(x{i}) = x",
@@ -472,7 +469,7 @@ class Ellipsoid(ConvexSet):
         super().__post_init__()
         if min(self._axes) <= 0.0:
             raise ValueError("axes must be positive")
-        object.__setattr__(self, "_normal_axes", all(_TINY <= a * a < math.inf for a in self._axes))
+        object.__setattr__(self, "_normal_axes", all(TINY <= a * a < math.inf for a in self._axes))
 
     bounded = True
     _binds = ("normal_axes", "scaled", "rescaled")
@@ -610,8 +607,8 @@ def contains(s: ConvexSet, x, tol: float) -> bool:
     """Whether ``x`` is within distance ``tol`` of ``s``."""
     if tol < 0.0:
         raise ValueError("tolerance must be >= 0")
-    x = as_vector(x, s.dim)
-    return norm((x - s.project(x)).tolist()) <= tol
+    x = as_floats(x, s.dim)[1]
+    return distance_kernel(s.dim)(x, s._project(x)) <= tol
 
 
 def from_descriptor(desc: dict) -> ConvexSet:

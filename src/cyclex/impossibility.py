@@ -31,8 +31,8 @@ from .errors import (
     InvalidUnitVector,
 )
 from .geometry import Family, Segment, Singleton, as_vector
-from .product import OBJECTIVES, _max_block_norm, as_product_point, solve_projected_gradient, stack_size
-from .sums import dot, norm, norms_last
+from .product import OBJECTIVES, as_product_point, solve_projected_gradient, stack_size
+from .sums import distance_kernel, dot, max_distance, norm, norms_last
 from .sweep import Cycle, run_periodic
 
 _COLLINEAR_RTOL = 1e-12
@@ -80,7 +80,7 @@ class SpiralSpec:
         """(||start||, start / ||start||, the target's unit part orthogonal to it or None
         where the two are collinear, alpha), after checking the norm hypotheses."""
         x, y = self.target, self.start
-        nx, ny = float(norms_last(x)), float(norms_last(y))
+        nx, ny = norm(x.tolist()), norm(y.tolist())
         if nx == 0.0:
             raise DegenerateInput("inner target must be nonzero")
         if nx >= ny:
@@ -88,7 +88,7 @@ class SpiralSpec:
         e1 = y / ny
         along = dot(x.tolist(), e1.tolist())
         residual = x - along * e1
-        n_res = float(norms_last(residual))
+        n_res = norm(residual.tolist())
         if n_res <= _COLLINEAR_RTOL * nx:
             return ny, e1, None, 0.0 if along > 0.0 else math.pi
         return ny, e1, residual / n_res, math.atan2(n_res, along)
@@ -102,7 +102,7 @@ def spiral(spec: SpiralSpec):
     its predecessor onto the next ray.  The norms obey
     ||points[k]|| = ||start|| * cos(alpha/n)^k, so the final point is
     collinear with the target at norm ||start|| * cos(alpha/n)^n.  Norms
-    whose squares leave the float range rescale (``norms_last``).
+    whose squares leave the float range rescale (``norm``).
     """
     y, n = spec.start, spec.n
     ny, e1, e2, alpha = spec._frame
@@ -114,8 +114,8 @@ def spiral(spec: SpiralSpec):
                 "start and target are antipodal; supply a plane direction to break the tie"
             )
         hint = spec.plane - dot(spec.plane.tolist(), e1.tolist()) * e1
-        n_hint = float(norms_last(hint))
-        if n_hint <= _COLLINEAR_RTOL * float(norms_last(spec.plane)):
+        n_hint = norm(hint.tolist())
+        if n_hint <= _COLLINEAR_RTOL * norm(spec.plane.tolist()):
             raise AntipodalAmbiguity("plane direction is collinear with the start")
         e2 = hint / n_hint
 
@@ -137,7 +137,7 @@ def spiral(spec: SpiralSpec):
         qs[k] = q
     points = np.outer(ps, e1) + np.outer(qs, e2)
     points[0] = y
-    return points, float(norms_last(points[n]))
+    return points, norm(points[n].tolist())
 
 
 def orthogonal_completion(z: np.ndarray) -> np.ndarray:
@@ -212,7 +212,7 @@ def degenerate_families(
             for _ in range(5):
                 x0 = rng.uniform(-10.0, 10.0, size=d)
                 _, got = run_periodic(fam, x0)
-                drift = max(norm((a - b).tolist()) for a, b in zip(got.points, cyc.points))
+                drift = max(distance_kernel(d)(a.tolist(), b.tolist()) for a, b in zip(got.points, cyc.points))
                 if drift > 1e-10:
                     raise RuntimeError(f"periodic run drifted {drift:.3e} from the cycle")
     return DegenerateFamilies(fam_pos, fam_neg, cyc_pos, cyc_neg)
@@ -266,7 +266,7 @@ class _StackedCandidate(CandidateFunctional):
 
 def _perimeter(y):
     edges = y - np.roll(y, -1, axis=-2)
-    return np.add.reduce(norms_last(edges, lambda e: np.linalg.norm(e, axis=-1), underflow=False), axis=-1)
+    return np.add.reduce(norms_last(edges, underflow=False), axis=-1)
 
 
 def _tuple_norm(y):
@@ -427,14 +427,13 @@ def candidate_gap(family: Family, candidate_kind: str, x0, cfg: Optional[SolverC
     solution = solve_projected_gradient(family, obj, start, cfg)
     cyc_blocks = np.stack(cycle.points)
     with np.errstate(over="ignore"):  # both values inf make the gap nan, not a warning
-        gap = obj.value(cyc_blocks) - obj.value(solution.blocks)
-    return GapExhibit(
-        candidate_kind=candidate_kind,
-        cycle=cycle,
-        minimizer=solution.blocks,
-        gap=float(gap),
-        displacement=_max_block_norm(cyc_blocks - solution.blocks),
-    )
+        return GapExhibit(
+            candidate_kind=candidate_kind,
+            cycle=cycle,
+            minimizer=solution.blocks,
+            gap=float(obj.value(cyc_blocks) - obj.value(solution.blocks)),
+            displacement=max_distance(cyc_blocks, solution.blocks),
+        )
 
 
 def write_spiral_csv(points: np.ndarray, out) -> None:

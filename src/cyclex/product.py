@@ -18,8 +18,8 @@ import numpy as np
 from .config import SolverConfig
 from .csvio import reused_texts, write_csv
 from .errors import BlockCountMismatch, DimensionMismatch, InvalidStepSize, NotConverged, TooFewSets
-from .geometry import Family, as_vector
-from .sums import dot_last, in_range, norm
+from .geometry import Family, as_floats
+from .sums import distance_kernel, dot_last, max_distance, pow2, top_exponent
 
 # the point each block of a parallel sweep projects, by variant
 _PARALLEL_TARGETS = {
@@ -78,8 +78,18 @@ def project_blocks(family: Family, y: np.ndarray) -> np.ndarray:
 
 def diagonal_project(y: np.ndarray) -> np.ndarray:
     """Projection onto the diagonal: every block replaced by the block mean."""
-    mean = y.mean(axis=0)
-    return np.broadcast_to(mean, y.shape).copy()
+    return np.broadcast_to(_block_mean(y), y.shape).copy()
+
+
+def _block_mean(y: np.ndarray) -> np.ndarray:
+    """The mean of the blocks, ``y.mean(axis=0)``; where a block sum overflows, it is taken at
+    the power-of-two scale that brings y's largest |coordinate| into [0.5, 1), then scaled back."""
+    with np.errstate(over="ignore"):
+        mean = y.mean(axis=0)
+        if np.isinf(mean).any():
+            e = top_exponent(y.ravel().tolist())
+            mean = pow2(pow2(y, -e).mean(axis=0), e)
+    return mean
 
 
 class PairwiseSquared:
@@ -259,13 +269,6 @@ def solve_parallel(family: Family, x0, cfg: Optional[SolverConfig] = None, varia
     return _iterate(family, x, target_of, lambda n, x, proj: proj, PairwiseSquared(m), cfg, "parallel")
 
 
-def _max_block_norm(r: np.ndarray) -> float:
-    """max_i ||r_i|| over the rows of r, as ``np.max(np.linalg.norm(r, axis=1))``
-    computes it: norm squares and add-reduces each row; sqrt is monotonic,
-    so one sqrt of the largest sum gives the same bits, rescaled out of range (``in_range``)."""
-    return in_range(lambda r: math.sqrt(np.add.reduce(r * r, axis=1).max()), r)
-
-
 def _iterate(family, x, target_of, step, obj, cfg, label) -> ProductSolution:
     """The product-space loop both solvers run, then its certificate.
 
@@ -282,10 +285,9 @@ def _iterate(family, x, target_of, step, obj, cfg, label) -> ProductSolution:
         stop_reason = "max_iterations"
         for n in range(cfg.max_iters):
             proj = project_blocks(family, target_of(x))
-            stationarity = _max_block_norm(proj - x)
+            stationarity = max_distance(proj, x)
             x_new = step(n, x, proj)
-            move = (x_new - x).ravel()
-            displacement = in_range(lambda v: math.sqrt(dot_last(v, v)), move)
+            displacement = max_distance(x_new.ravel(), x.ravel())
             x = x_new
             iterates.append(x)
             moves.append((displacement, stationarity))
@@ -318,13 +320,13 @@ def _certify(family, x, target, cfg, stop_reason, log, label) -> ProductSolution
     The objective is the last log row's.
     """
     iterations = len(log) - 1
-    stationarity = _max_block_norm(project_blocks(family, target) - x)
-    membership = _max_block_norm(project_blocks(family, x) - x)
+    stationarity = max_distance(project_blocks(family, target), x)
+    membership = max_distance(project_blocks(family, x), x)
     if stop_reason == "converged" and (membership > cfg.cycle_tol or stationarity > cfg.fixpoint_tol):
         stop_reason = "certificate_failed"
     solution = ProductSolution(
         blocks=x,
-        fair_point=x.mean(axis=0),
+        fair_point=_block_mean(x),
         objective=float(log.objective[-1]),
         stationarity=stationarity,
         membership=membership,
@@ -348,9 +350,9 @@ def fair_point_residual(family: Family, y) -> float:
     average property, so a small residual certifies an approximate
     minimizer of phi.
     """
-    v = as_vector(y, family.dim)
-    mean = project_blocks(family, np.broadcast_to(v, (family.m, family.dim))).mean(axis=0)
-    return norm((v - mean).tolist())
+    v, floats = as_floats(y, family.dim)
+    mean = _block_mean(project_blocks(family, np.broadcast_to(v, (family.m, family.dim))))
+    return distance_kernel(family.dim)(floats, mean.tolist())
 
 
 def fixpoint_check(family: Family, blocks):
@@ -364,8 +366,8 @@ def fixpoint_check(family: Family, blocks):
     y = as_product_point(blocks, m=family.m, dim=family.dim)
     z = diagonal_project(y)
     pcz = project_blocks(family, z)
-    r1 = norm((y - pcz).ravel().tolist())
-    r2 = norm((z - diagonal_project(pcz)).ravel().tolist())
+    r1 = distance_kernel(y.size)(y.ravel().tolist(), pcz.ravel().tolist())
+    r2 = distance_kernel(y.size)(z.ravel().tolist(), diagonal_project(pcz).ravel().tolist())
     return r1, r2
 
 

@@ -6,11 +6,13 @@ from the first product.  Python float arithmetic, elementwise ufuncs,
 so this order alone fixes the bits on every CPU, numpy and Python
 version.  BLAS (``@``, ``np.dot``, ``np.vdot``, a 1-D ``np.linalg.norm``)
 picks its summation kernel per CPU, and the builtin ``sum`` of floats
-compensates from Python 3.12: cyclex uses neither.  The one range rule
-of every norm cyclex reports is here too: a norm whose squares overflow
-or underflow is taken again at an exact power-of-two scale (``norm``,
-``in_range``, ``norms_last``).  ``compiled`` makes the straight-line
-kernels of one dimension.
+compensates from Python 3.12: cyclex uses neither.  Every length cyclex
+reports is formed here (elsewhere only by the projector kernels), one
+function per shape: ``norm`` (a vector of Python floats), ``distance_kernel``
+(two points), ``norms_last`` (each row of an array) and ``max_distance``
+(the largest row distance of two arrays).  Each takes a norm whose squares
+overflow or underflow again at an exact power-of-two scale.  ``compiled``
+makes the straight-line kernels of one dimension.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from operator import add, mul
 
 import numpy as np
 
-_TINY = 2.0**-1022  # the smallest normal float
+TINY = 2.0**-1022  # the smallest normal float
 _ROOT_TINY = 2.0**-511  # its square root
 
 
@@ -55,25 +57,35 @@ def dot(u, v) -> float:
 def norm(w) -> float:
     """sqrt(w . w) of a sequence of Python floats.  Where w is finite and nonzero but
     w . w overflows or is below 2^-1022, it is 2^e norm(2^-e w) for the e that brings
-    the largest |w_i| into [0.5, 1): the rule ``norms_last`` applies to each row."""
+    the largest |w_i| into [0.5, 1)."""
     ww = reduce(add, map(mul, w, w))
-    if _TINY <= ww < math.inf or ww != ww or not (e := top_exponent(w)):  # e = 0: w is 0 or has an inf
+    if TINY <= ww < math.inf or ww != ww or not (e := top_exponent(w)):  # e = 0: w is 0 or has an inf
         return math.sqrt(ww)
     return pow2(norm([math.ldexp(c, -e) for c in w]), e)
 
 
-def norms_last(u, norm_of=None, underflow=True):
-    """``norm_of(u)`` along the last axis, by default the bits of ``norm``; a row whose norm
-    overflows, or (``underflow``) is subnormal, rescales.  Without it the caller silences overflows."""
-    norm_of = norm_of or (lambda v: np.sqrt(dot_last(v, v)))
-    if not underflow and math.isfinite(np.add.reduce(n := norm_of(u), axis=None)):
+def norms_last(u, underflow=True):
+    """sqrt(u . u) along the last axis, with the bits of ``norm`` row by row: a row whose norm
+    overflows, or (``underflow``) is below 2^-511, is its ``norm``.  Without it the caller silences overflows."""
+    if not underflow and math.isfinite(np.add.reduce(n := np.sqrt(dot_last(u, u)), axis=None)):
         return n
     with np.errstate(over="ignore"):
-        n = np.array(norm_of(u))
+        n = np.array(np.sqrt(dot_last(u, u)))
         rows, flat, low = u.reshape(-1, u.shape[-1]), n.reshape(-1), _ROOT_TINY if underflow else 0.0
         for i in np.flatnonzero(~((flat >= low) & (flat < math.inf))):
-            flat[i] = in_range(norm_of, rows[i])
+            flat[i] = norm(rows[i].tolist())
     return n
+
+
+def max_distance(u, v) -> float:
+    """max_i ||u_i - v_i|| along the last axis of two arrays of one shape (two 1-D arrays are one
+    row): the largest ``norms_last(u - v)`` for one sqrt, rescaled by ``in_range``.  The caller silences overflows."""
+    return in_range(_root_of_largest, u - v)
+
+
+def _root_of_largest(r):
+    s = dot_last(r, r)
+    return math.sqrt(s.max() if s.ndim else s)  # a 1-D r's s is a numpy float: its max costs 1.5 us
 
 
 def dot_last(u, v):
@@ -120,14 +132,15 @@ def compiled(template: str, d: int) -> dict:
     return namespace
 
 
-_DISTANCE = """\
-from math import sqrt
+_DISTANCE = f"from math import inf, sqrt\nfrom {__name__} import TINY, norm\n" + """\
 def distance(u, v):
     ALL(u{i}) = u
     ALL(v{i}) = v
     w{i} = u{i} - v{i}
     ww = SUM(w{i} * w{i})
-    return sqrt(ww)
+    if TINY <= ww < inf:
+        return sqrt(ww)
+    return norm([ALL(w{i})])
 """
 
 

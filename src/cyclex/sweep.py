@@ -18,7 +18,7 @@ from .config import SolverConfig
 from .csvio import write_csv
 from .errors import LengthMismatch, NotConverged
 from .geometry import Family, as_floats, as_vector
-from .sums import distance_kernel, norm
+from .sums import distance_kernel
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ def min_distance_pair(c1, c2, x0, cfg: Optional[SolverConfig] = None):
     family = Family((c1, c2))
     _, cycle = run_periodic(family, x0, cfg)
     y1, y2 = cycle.points
-    return (y1, y2), norm((y1 - y2).tolist())
+    return (y1, y2), distance_kernel(family.dim)(y1.tolist(), y2.tolist())
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:

@@ -305,10 +305,10 @@ def in_order_norm_oracle(row, underflow=True):
 
 
 def perimeter_formula(y):
-    """Sum of the cyclic block distances of one (m, d) tuple; an edge whose
-    squares overflow is rescaled."""
+    """Sum of the cyclic block distances of one (m, d) tuple, each its in-order
+    norm; an edge whose squares overflow is rescaled."""
     edges = y - np.roll(y, -1, axis=0)
-    return np.sum([rescaled_norm_oracle(lambda v: np.linalg.norm(v, axis=-1), e, False) for e in edges])
+    return np.sum([in_order_norm_oracle(e, underflow=False) for e in edges])
 
 
 def cyclic_squared_formula(y):

@@ -433,6 +433,12 @@ def test_norm_candidates_rescale_squares_past_the_float_range(name):
     assert got == pytest.approx({"perimeter": 2.0 + math.sqrt(2.0), "tuple_norm": math.sqrt(2.0)}[name] * 1e200, rel=1e-15)
 
 
+def test_perimeter_adds_each_edge_in_index_order_past_eight_coordinates():
+    # numpy's pairwise sum, which np.linalg.norm(axis=-1) takes from 8 terms, rounds this one differently
+    y = np.random.default_rng(0).standard_normal((4, 16))
+    assert BUILTIN_CANDIDATES["perimeter"](y) == CANDIDATE_FORMULAS["perimeter"](y)
+
+
 class RecordingMath:
     """The math module, recording every angle passed to ``cos``."""
 

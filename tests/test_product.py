@@ -323,6 +323,11 @@ class TestResiduals:
         y = np.array([[1.0, 0.0], [3.0, 2.0]])
         assert np.allclose(diagonal_project(y), [[2.0, 1.0], [2.0, 1.0]])
 
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_diagonal_project_keeps_the_bits_of_the_mean_in_range(self, scale):
+        y = scale * np.random.default_rng(3).uniform(-1.0, 1.0, (5, 3))
+        assert np.array_equal(diagonal_project(y), np.broadcast_to(y.mean(axis=0), y.shape))
+
 
 def test_reduction_identity_iterate_for_iterate():
     rng = np.random.default_rng(101)

@@ -1,5 +1,5 @@
-"""The one range rule of the norms cyclex reports (``cyclex.sums``), and the
-call sites that report a norm through it."""
+"""The one range rule of the lengths cyclex reports (``cyclex.sums``), and the
+call sites that report a length through it."""
 
 import math
 import warnings
@@ -15,12 +15,13 @@ from cyclex import (
     Family,
     SpiralSpec,
     contains,
+    diagonal_project,
     fair_point_residual,
     fixpoint_check,
     min_distance_pair,
     orthogonal_completion,
 )
-from cyclex.sums import in_range, norm
+from cyclex.sums import distance_kernel, in_range, max_distance, norm
 
 EPS = 2.0**-52
 # |norm(w) - hypot(w)| <= NORM_RTOL_EPS * eps * hypot(w) wherever norm(w) >= 2^-1022.
@@ -33,11 +34,11 @@ FAR = [Ball([0.0, 0.0], 1.0), Ball([1e200, 0.0], 1.0)]
 
 
 @st.composite
-def scaled_vectors(draw):
-    """d = 1..8 coordinates, each zero or within ``spread`` binades below 2^top, for
-    a top drawn from the subnormals (2^-1074) up to about 1e307 (2^1019)."""
-    d = draw(st.integers(1, 8))
-    top = draw(st.integers(-1074, 1019))
+def scaled_vectors(draw, dims=st.integers(1, 8), top_max=1019):
+    """d coordinates (by default 1..8), each zero or within ``spread`` binades below 2^top,
+    for a top drawn from the subnormals (2^-1074) up to ``top_max`` (2^1019 is about 1e307)."""
+    d = draw(dims)
+    top = draw(st.integers(-1074, top_max))
     spread = draw(st.sampled_from((0, 1, 3, 60, 2100)))
     exponents = st.integers(max(-1074, top - spread), top)
     mantissas = st.floats(0.5, 1.0, exclude_max=True)
@@ -112,3 +113,71 @@ def test_orthogonal_completion_of_a_badly_scaled_vector_is_unit(z):
 def test_spiral_alpha_is_the_angle_it_turns_through():
     # acos of the normalized inner product, 1 - 5e-19, rounds to 1 and reads 0
     assert SpiralSpec([1.0, 1e-9], [2.0, 0.0], 5).alpha == 1e-9
+
+
+# d = 1..8, and 65 and 130: past the 64 terms of one compiled sum statement
+DISTANCE_DIMS = st.sampled_from((1, 2, 3, 4, 5, 6, 7, 8, 65, 130))
+
+
+@st.composite
+def point_pairs(draw, dims=DISTANCE_DIMS):
+    """Two points of d coordinates up to the float maximum (2^1024): v is drawn alone,
+    as -u (differences that overflow) or as u moved by one ulp (differences that
+    underflow where u is small)."""
+    d = draw(dims)
+    u = draw(scaled_vectors(st.just(d), 1024))
+    v = draw(
+        st.one_of(
+            scaled_vectors(st.just(d), 1024),
+            st.just([-c for c in u]),
+            st.just([math.nextafter(c, math.inf) for c in u]),
+        )
+    )
+    return u, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_pairs())
+def test_distance_kernel_is_the_norm_of_the_difference(pair):
+    u, v = pair
+    want = norm([a - b for a, b in zip(u, v)])
+    assert distance_kernel(len(u))(u, v).hex() == want.hex()
+
+
+@st.composite
+def row_pairs(draw):
+    """Two (m, d) arrays of rows drawn as ``point_pairs``, each row at its own scale,
+    or one 1-D pair."""
+    d = draw(st.integers(1, 10))
+    pairs = draw(st.lists(point_pairs(st.just(d)), min_size=1, max_size=5))
+    u, v = (np.array(rows) for rows in zip(*pairs))
+    return (u[0], v[0]) if len(pairs) == 1 and draw(st.booleans()) else (u, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_pairs())
+def test_max_distance_is_the_largest_row_norm(pair):
+    u, v = pair
+    rows = zip(np.atleast_2d(u).tolist(), np.atleast_2d(v).tolist())
+    want = max(norm([a - b for a, b in zip(ru, rv)]) for ru, rv in rows)
+    with np.errstate(over="ignore"):
+        assert max_distance(u, v).hex() == want.hex()
+
+
+def test_distances_past_the_float_maximum_are_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not contains(Ball([-1e308, 0.0], 1.0), [1e308, 0.0], 1.0)
+        _, distance = min_distance_pair(Ball([-1e308, 0.0], 1.0), Ball([1e308, 0.0], 1.0), [0.0, 5.0])
+        assert distance == math.inf
+
+
+def test_block_means_near_the_float_maximum_are_finite():
+    family = Family((Ball([1.5e308, 0.0], 1.0), Ball([1.6e308, 0.0], 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fair_point_residual(family, [0.0, 0.0]) == 1.55e308
+        r1, r2 = fixpoint_check(family, [[1.5e308, 0.0], [1.6e308, 0.0]])
+        diagonal = diagonal_project(np.array([[1.5e308, 0.0], [1.6e308, 0.0]]))
+    assert math.isfinite(r1) and r2 == 0.0
+    assert diagonal.tolist() == [[1.55e308, 0.0]] * 2

@@ -75,6 +75,12 @@ class TestCycleResidual:
         p = [0.5, 0.5]
         assert cycle_residual(fam, [p, p]) == 0.0
 
+    @pytest.mark.parametrize("gap", [1e200, 5e-170])
+    def test_gap_whose_square_leaves_the_range(self, gap):
+        # gap * gap overflows (underflows): the residual is still the gap, not inf (0.0)
+        fam = Family((Singleton([0, 0]), Singleton([gap, 0])))
+        assert cycle_residual(fam, [[0, 0], [0, 0]]) == gap
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             cycle_residual(degenerate_family(), [[0, 0], [1, 0]])
