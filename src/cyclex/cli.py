@@ -6,7 +6,8 @@ Subcommands: ``run`` (dispatch a JSON experiment config), ``project``
 parse, input or write error, 2 a solver failed to converge (diagnostic
 artifacts are still written) or a candidate survived the falsifier.
 Every input, even one too large to allocate, ends in one of these codes,
-with one line on stderr for 1; ``main`` turns each failure into its code.
+with one line on stderr for 1; ``main`` turns each failure into its code,
+and a warning into one ``warning:`` line (1 where the filters make it an error).
 
 ``_KINDS`` is the one place an experiment kind is defined: its config
 keys (each with a typed parser and either a default or required), its
@@ -27,6 +28,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -667,10 +669,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
         return exc.code
-    try:
-        return args.func(args)
-    except _ERRORS as exc:
-        return _report(exc)
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (*_ERRORS, Warning) as exc:  # Warning: one the warning filters turn into an error
+            return _report(exc)
 
 
 if __name__ == "__main__":

@@ -19,25 +19,29 @@ import numpy as np
 _BLOCK_CELLS = 4096
 
 
-def write_csv(fh, header, n_ints: int, n_rows: int, columns) -> None:
+def write_csv(out, header, n_ints: int, n_rows: int, columns) -> None:
     """Write the header line, then ``n_rows`` rows of the header's width:
-    ``n_ints`` integer cells, then float cells.
+    ``n_ints`` integer cells, then float cells, to ``out``: a path, or an
+    open text file that is left open.
 
     ``columns(start, stop)`` returns the cells of rows start..stop-1 as
     column sequences, integers first: Python ints and floats (as from
     ``ndarray.tolist()``), a ``range``, or for float cells their ``repr``
     text.
     """
+    if not hasattr(out, "write"):
+        with open(out, "w", newline="") as fh:
+            return write_csv(fh, header, n_ints, n_rows, columns)
     width = len(header)
     row_fmt = ",".join(["%d"] * n_ints + ["%s"] * (width - n_ints)) + "\n"
-    fh.write(",".join(header) + "\n")
+    out.write(",".join(header) + "\n")
     step = max(1, _BLOCK_CELLS // width)
     for start in range(0, n_rows, step):
         stop = min(start + step, n_rows)
         cells = [None] * ((stop - start) * width)
         for j, column in enumerate(columns(start, stop)):
             cells[j::width] = column
-        fh.write((row_fmt * (stop - start)) % tuple(cells))
+        out.write((row_fmt * (stop - start)) % tuple(cells))
 
 
 def reused_texts(values: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .geometry import Family, Segment, Singleton, as_vector
 from .product import OBJECTIVES, as_product_point, solve_projected_gradient, stack_size
-from .sums import distance_kernel, dot, max_distance, norm, norms_last
+from .sums import dot, max_distance, norm, norms_last
 from .sweep import Cycle, run_periodic
 
 _COLLINEAR_RTOL = 1e-12
@@ -212,7 +211,8 @@ def degenerate_families(
             for _ in range(5):
                 x0 = rng.uniform(-10.0, 10.0, size=d)
                 _, got = run_periodic(fam, x0)
-                drift = max(distance_kernel(d)(a.tolist(), b.tolist()) for a, b in zip(got.points, cyc.points))
+                with np.errstate(over="ignore"):
+                    drift = max_distance(np.stack(got.points), np.stack(cyc.points))
                 if drift > 1e-10:
                     raise RuntimeError(f"periodic run drifted {drift:.3e} from the cycle")
     return DegenerateFamilies(fam_pos, fam_neg, cyc_pos, cyc_neg)
@@ -399,9 +399,9 @@ class GapExhibit:
     def to_dict(self) -> dict:
         return {
             "candidate": self.candidate_kind,
-            "cycle_points": [[float(c) for c in p] for p in self.cycle.points],
+            "cycle_points": [p.tolist() for p in self.cycle.points],
             "cycle_residual": float(self.cycle.residual),
-            "minimizer": [[float(c) for c in b] for b in self.minimizer],
+            "minimizer": self.minimizer.tolist(),
             "gap": float(self.gap),
             "displacement": float(self.displacement),
         }
@@ -437,10 +437,7 @@ def candidate_gap(family: Family, candidate_kind: str, x0, cfg: Optional[SolverC
 
 
 def write_spiral_csv(points: np.ndarray, out) -> None:
-    """Spiral rows: k, x_0, ..., x_{d-1}, norm.
-
-    ``out`` is a path, or an open text file that is written and left open.
-    """
+    """Spiral rows: k, x_0, ..., x_{d-1}, norm, to a path or an open text file."""
     points = np.ascontiguousarray(points, dtype=float)
     d = points.shape[1]
 
@@ -449,5 +446,4 @@ def write_spiral_csv(points: np.ndarray, out) -> None:
         return [range(start, stop), *block.T.tolist(), norms_last(block).tolist()]
 
     header = ["k"] + [f"x_{j}" for j in range(d)] + ["norm"]
-    with nullcontext(out) if hasattr(out, "write") else open(out, "w", newline="") as fh:
-        write_csv(fh, header, 1, len(points), columns)
+    write_csv(out, header, 1, len(points), columns)

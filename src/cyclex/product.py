@@ -18,8 +18,8 @@ import numpy as np
 from .config import SolverConfig
 from .csvio import reused_texts, write_csv
 from .errors import BlockCountMismatch, DimensionMismatch, InvalidStepSize, NotConverged, TooFewSets
-from .geometry import Family, as_floats
-from .sums import distance_kernel, dot_last, max_distance, pow2, top_exponent
+from .geometry import Family, as_vector
+from .sums import dot_last, max_distance, pow2, top_exponent
 
 # the point each block of a parallel sweep projects, by variant
 _PARALLEL_TARGETS = {
@@ -201,12 +201,12 @@ class ProductSolution:
 
     def to_dict(self) -> dict:
         return {
-            "points": [[float(c) for c in b] for b in self.blocks],
+            "points": self.blocks.tolist(),
             "residual": float(self.stationarity),
             "sweeps": int(self.iterations),
             "stop_reason": self.stop_reason,
             "objective": float(self.objective),
-            "fair_point": [float(c) for c in self.fair_point],
+            "fair_point": self.fair_point.tolist(),
         }
 
 
@@ -350,9 +350,10 @@ def fair_point_residual(family: Family, y) -> float:
     average property, so a small residual certifies an approximate
     minimizer of phi.
     """
-    v, floats = as_floats(y, family.dim)
+    v = as_vector(y, family.dim)
     mean = _block_mean(project_blocks(family, np.broadcast_to(v, (family.m, family.dim))))
-    return distance_kernel(family.dim)(floats, mean.tolist())
+    with np.errstate(over="ignore"):
+        return max_distance(v, mean)
 
 
 def fixpoint_check(family: Family, blocks):
@@ -366,9 +367,8 @@ def fixpoint_check(family: Family, blocks):
     y = as_product_point(blocks, m=family.m, dim=family.dim)
     z = diagonal_project(y)
     pcz = project_blocks(family, z)
-    r1 = distance_kernel(y.size)(y.ravel().tolist(), pcz.ravel().tolist())
-    r2 = distance_kernel(y.size)(z.ravel().tolist(), diagonal_project(pcz).ravel().tolist())
-    return r1, r2
+    with np.errstate(over="ignore"):
+        return max_distance(y.ravel(), pcz.ravel()), max_distance(z.ravel(), diagonal_project(pcz).ravel())
 
 
 def write_iteration_csv(log, path) -> None:
@@ -388,5 +388,4 @@ def write_iteration_csv(log, path) -> None:
         texts = reused_texts(rows["blocks"].reshape(stop - start, m * d))
         return [range(start, stop), *scalars, *texts.T.tolist()]
 
-    with open(path, "w", newline="") as fh:
-        write_csv(fh, header, 1, len(log), columns)
+    write_csv(path, header, 1, len(log), columns)

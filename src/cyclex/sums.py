@@ -8,11 +8,12 @@ version.  BLAS (``@``, ``np.dot``, ``np.vdot``, a 1-D ``np.linalg.norm``)
 picks its summation kernel per CPU, and the builtin ``sum`` of floats
 compensates from Python 3.12: cyclex uses neither.  Every length cyclex
 reports is formed here (elsewhere only by the projector kernels), one
-function per shape: ``norm`` (a vector of Python floats), ``distance_kernel``
-(two points), ``norms_last`` (each row of an array) and ``max_distance``
-(the largest row distance of two arrays).  Each takes a norm whose squares
-overflow or underflow again at an exact power-of-two scale.  ``compiled``
-makes the straight-line kernels of one dimension.
+function per representation: ``norm`` (a vector of Python floats),
+``distance_kernel`` (two points as lists of Python floats), ``norms_last``
+(each row of an array) and ``max_distance`` (the largest row distance of two
+arrays).  Where squares overflow or underflow, each falls back on ``norm``,
+the one rescue, which takes the norm again at an exact power-of-two scale.
+``compiled`` makes the straight-line kernels of one dimension.
 """
 
 from __future__ import annotations
@@ -36,17 +37,6 @@ def top_exponent(values) -> int:
 def pow2(v, e):
     """v * 2^e in two in-range factors: exact outside the subnormal range, +-inf past it."""
     return v * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
-
-
-def in_range(norm_of, r):
-    """``norm_of(r)``, a norm of the array r.  Where it overflows, or is below 2^-511 for
-    a nonzero r (its squares left the range), it is 2^e norm_of(2^-e r) for the e that
-    brings r's largest |coordinate| into [0.5, 1), where no square leaves the range."""
-    value = norm_of(r)
-    if not (value == math.inf or value < _ROOT_TINY and r.any()):
-        return value
-    e = top_exponent(r.ravel().tolist())
-    return pow2(norm_of(pow2(r, -e)), e)
 
 
 def dot(u, v) -> float:
@@ -79,13 +69,14 @@ def norms_last(u, underflow=True):
 
 def max_distance(u, v) -> float:
     """max_i ||u_i - v_i|| along the last axis of two arrays of one shape (two 1-D arrays are one
-    row): the largest ``norms_last(u - v)`` for one sqrt, rescaled by ``in_range``.  The caller silences overflows."""
-    return in_range(_root_of_largest, u - v)
-
-
-def _root_of_largest(r):
+    row), with the bits of ``norm`` row by row: one sqrt of the largest ``dot_last``, or where that
+    overflows or is below 2^-511 for a nonzero difference, the largest row ``norm``.  The caller silences overflows."""
+    r = u - v
     s = dot_last(r, r)
-    return math.sqrt(s.max() if s.ndim else s)  # a 1-D r's s is a numpy float: its max costs 1.5 us
+    value = math.sqrt(s.max() if s.ndim else s)  # a 1-D r's s is a numpy float: its max costs 1.5 us
+    if not (value == math.inf or value < _ROOT_TINY and r.any()):
+        return value
+    return max(map(norm, r.reshape(-1, r.shape[-1]).tolist()))
 
 
 def dot_last(u, v):

@@ -18,7 +18,7 @@ from .config import SolverConfig
 from .csvio import write_csv
 from .errors import LengthMismatch, NotConverged
 from .geometry import Family, as_floats, as_vector
-from .sums import distance_kernel
+from .sums import distance_kernel, max_distance
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,8 @@ def min_distance_pair(c1, c2, x0, cfg: Optional[SolverConfig] = None):
     family = Family((c1, c2))
     _, cycle = run_periodic(family, x0, cfg)
     y1, y2 = cycle.points
-    return (y1, y2), distance_kernel(family.dim)(y1.tolist(), y2.tolist())
+    with np.errstate(over="ignore"):
+        return (y1, y2), max_distance(y1, y2)
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
@@ -201,5 +202,4 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
         return [(k // m).tolist(), inner.tolist(), order[inner].tolist(),
                 *trajectory.iterates[start:stop].T.tolist()]
 
-    with open(path, "w", newline="") as fh:
-        write_csv(fh, header, 3, len(trajectory.iterates), columns)
+    write_csv(path, header, 3, len(trajectory.iterates), columns)

@@ -47,6 +47,13 @@ def periodic_config(**overrides):
     return cfg
 
 
+# a family with no bounded set: the periodic run warns, and still converges
+UNBOUNDED_PAIR = periodic_config(
+    family=[{"type": "ray", "direction": [1, 0]}, {"type": "halfspace", "normal": [0, 1], "offset": -1}],
+    start=[0, 5],
+)
+
+
 class TestValidateConfig:
     def test_minimal_config_gets_defaults(self):
         cfg = validate_config(json.dumps(periodic_config()))
@@ -509,6 +516,40 @@ class TestSharedParser:
         assert done.stdout.startswith("k,x_0,x_1,norm")
 
 
+UNBOUNDED_WARNING = "no set in the family is bounded; the periodic iteration may not settle"
+
+
+class TestLibraryWarnings:
+    """``main`` shows a library warning as one stderr line, and one made an error as exit code 1."""
+
+    def run_unbounded(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(UNBOUNDED_PAIR))
+        return main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+
+    def test_a_warning_is_one_line_and_keeps_the_exit_code(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            assert self.run_unbounded(tmp_path) == 0
+        assert capsys.readouterr().err == f"warning: {UNBOUNDED_WARNING}\n"
+        assert json.loads((tmp_path / "out" / "periodic.json").read_text())["stop_reason"] == "converged"
+
+    def test_a_warning_made_an_error_is_exit_code_1_with_one_line(self, tmp_path, capsys):
+        # the tests run with every warning an error
+        assert self.run_unbounded(tmp_path) == 1
+        assert capsys.readouterr().err == f"error: {UNBOUNDED_WARNING}\n"
+
+    def test_pythonwarnings_error_in_a_fresh_process(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(UNBOUNDED_PAIR))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "cyclex.cli", "run", "--config", str(cfg_path), "--out-dir", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "error"}, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stderr) == (1, f"error: {UNBOUNDED_WARNING}\n")
+
+
 FALSIFY = {"kind": "falsify", "candidate": "perimeter", "m": 3, "rho": 2.0, "sphere_samples": 4}
 SPIRAL = {"kind": "spiral", "x": [0, 0.1], "y": [1, 0], "n": 2}
 PARALLEL = {"kind": "parallel", "family": THREE_BALLS, "start": [2, 2]}
@@ -850,10 +891,12 @@ def test_a_point_flag_without_its_point_is_a_usage_error(capsys, argv):
 
 
 # Contract: main returns 0, 1 or 2 for every input, raises nothing, and
-# says why on stderr when it returns 1.  Bases converge within 200 steps
-# and the pool has no integer above 10^3, so every example stays small.
+# says why on stderr when it returns 1, also with every warning an error (as
+# the tests run).  Bases converge within 200 steps and the pool has no
+# integer above 10^3, so every example stays small.
 CONTRACT_BASES = [
     periodic_config(solver={"max_sweeps": 200}, output={"csv": "a.csv", "json": "b.json"}),
+    {**UNBOUNDED_PAIR, "solver": {"max_sweeps": 200}},
     {"kind": "pair_distance", "family": THREE_BALLS[:2], "start": [3, 3], "solver": {"max_sweeps": 200}},
     {**QUADRATIC, "solver": {"max_iters": 200, "gamma": 1.0, "lambda": 1.0}},
     {**PARALLEL, "variant": "full_mean", "solver": {"max_iters": 200}},
@@ -926,10 +969,8 @@ def mutated_argv(draw):
 
 def assert_contract(argv):
     stderr = io.StringIO()
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = main(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
     assert code in (0, 1, 2), (argv, code)
     if code == 1:
         assert stderr.getvalue().strip(), argv

@@ -20,8 +20,9 @@ from cyclex import (
     fixpoint_check,
     min_distance_pair,
     orthogonal_completion,
+    project_blocks,
 )
-from cyclex.sums import distance_kernel, in_range, max_distance, norm
+from cyclex.sums import compiled, distance_kernel, max_distance, norm
 
 EPS = 2.0**-52
 # |norm(w) - hypot(w)| <= NORM_RTOL_EPS * eps * hypot(w) wherever norm(w) >= 2^-1022.
@@ -84,11 +85,33 @@ def test_norm_of_a_nan_coordinate_is_nan(w):
     assert math.isnan(norm(w))
 
 
-@pytest.mark.parametrize("r, want", [([1e200, 0.0], 1e200), ([1e-200, 0.0], 1e-200), ([0.0, 0.0], 0.0)])
-def test_in_range_rescales_the_norm_of_an_array(r, want):
-    norm_of = lambda v: math.sqrt(dot_in_order(v, v))  # noqa: E731
+@pytest.mark.parametrize(
+    "r, want",
+    [
+        ([1e200, 0.0], 1e200),
+        ([1e-200, 0.0], 1e-200),
+        ([0.0, 0.0], 0.0),
+        ([math.nan, 1.0], math.nan),  # a NaN difference stays NaN, also beside an overflow
+        ([1e200, math.nan], math.nan),
+        ([[1e200, 0.0], [math.nan, 0.0]], math.nan),
+    ],
+)
+def test_max_distance_rescales_the_norm_of_a_difference(r, want):
     with np.errstate(over="ignore"):
-        assert in_range(norm_of, np.array(r)) == pytest.approx(want, rel=1e-15, abs=0.0)
+        got = max_distance(np.array(r), np.zeros_like(r))
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0, nan_ok=True)
+
+
+def test_certificates_compile_nothing_once_the_projectors_have():
+    # a distance compiled per m * d would take a slot of the cache the projector kernels share
+    for m in (3, 4, 5):
+        family = Family(tuple(Ball([float(i), 0.0, 0.0], 1.0) for i in range(m)))
+        blocks = np.full((m, 3), 5.0)
+        project_blocks(family, blocks)
+        misses = compiled.cache_info().misses
+        fixpoint_check(family, blocks)
+        fair_point_residual(family, [5.0, 5.0, 5.0])
+        assert compiled.cache_info().misses == misses
 
 
 def test_far_sets_report_finite_distances():
