@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,6 +37,7 @@ from .sums import dot, max_distance, norm, norms_last
 from .sweep import Cycle, run_periodic
 
 _COLLINEAR_RTOL = 1e-12
+_WALK_ROWS = 2048  # spiral rows the walk holds in plane coordinates before it writes them
 UNIT_NORM_TOL = 1e-12
 
 STRICT_1 = "strict-1"
@@ -65,9 +68,13 @@ class SpiralSpec:
         object.__setattr__(self, "start", as_vector(self.start, self.target.shape[0]))
         if self.plane is not None:
             object.__setattr__(self, "plane", as_vector(self.plane, self.target.shape[0]))
-        if int(self.n) < 1:
-            raise ValueError("n must be >= 1")
-        object.__setattr__(self, "n", int(self.n))
+        try:  # an int or a numpy integer; a bool, float or string is refused
+            n = 0 if isinstance(self.n, bool) else operator.index(self.n)
+        except TypeError:
+            n = 0
+        if n < 1:
+            raise ValueError("n must be an integer >= 1")
+        object.__setattr__(self, "n", n)
 
     @property
     def alpha(self) -> float:
@@ -101,7 +108,8 @@ def spiral(spec: SpiralSpec):
     its predecessor onto the next ray.  The norms obey
     ||points[k]|| = ||start|| * cos(alpha/n)^k, so the final point is
     collinear with the target at norm ||start|| * cos(alpha/n)^n.  Norms
-    whose squares leave the float range rescale (``norm``).
+    whose squares leave the float range rescale (``norm``).  The points
+    cost 8 B per coordinate, plus one block of rows as the walk fills them.
     """
     y, n = spec.start, spec.n
     ny, e1, e2, alpha = spec._frame
@@ -118,24 +126,25 @@ def spiral(spec: SpiralSpec):
             raise AntipodalAmbiguity("plane direction is collinear with the start")
         e2 = hint / n_hint
 
-    # sequential ray projections, carried in plane coordinates (p, q)
-    ps = np.empty(n + 1)
-    qs = np.empty(n + 1)
-    ps[0], qs[0] = ny, 0.0
-    p, q = ny, 0.0
-    for k in range(1, n + 1):
-        theta = alpha * (k / n)
-        ct = math.cos(theta)
-        st = math.sin(theta)
-        r = p * ct + q * st
-        if r < 0.0:
-            r = 0.0
-        p = r * ct
-        q = r * st
-        ps[k] = p
-        qs[k] = q
-    points = np.outer(ps, e1) + np.outer(qs, e2)
+    # sequential ray projections, carried in plane coordinates (p, q) and
+    # written into the points a block of rows at a time
+    points = np.empty((n + 1, y.shape[0]))
     points[0] = y
+    p, q = ny, 0.0
+    for first in range(1, n + 1, _WALK_ROWS):
+        ps, qs = array("d"), array("d")
+        for k in range(first, min(first + _WALK_ROWS, n + 1)):
+            theta = alpha * (k / n)
+            ct = math.cos(theta)
+            st = math.sin(theta)
+            r = p * ct + q * st
+            if r < 0.0:
+                r = 0.0
+            p = r * ct
+            q = r * st
+            ps.append(p)
+            qs.append(q)
+        points[first : first + len(ps)] = np.multiply.outer(ps, e1) + np.multiply.outer(qs, e2)
     return points, norm(points[n].tolist())
 
 

@@ -10,6 +10,7 @@ product space (Pierra 1984) with their own target map and no relaxation.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -274,14 +275,17 @@ def _iterate(family, x, target_of, step, obj, cfg, label) -> ProductSolution:
 
     Iteration n projects ``target_of(x)`` blockwise, moves to
     ``step(n, x, proj)`` and stops once the move's product norm is at most
-    cfg.sweep_tol.  No iterate is changed in place, so the log keeps them
-    without copies.  The objective column is filled after the loop: one
+    cfg.sweep_tol.  Each row goes, in the log's record layout, into one
+    array of doubles that the log then views: the history costs 8 B per
+    number.  The objective column is filled after the loop: one
     stacked ``obj.value`` call per ``stack_size`` logged tuples for the
     objectives of this module, one call per tuple for any other, whose
     ``value`` may take a single (m, d) tuple only.
     """
+    fields = [(name, float) for name in _LOG_SCALARS] + [("blocks", float, x.shape)]
     with np.errstate(over="ignore"):  # a far start logs inf objectives, not a warning
-        iterates, moves = [x], [(math.nan, math.nan)]
+        rows = array("d", (math.nan, math.nan, math.nan))  # the start's row, objective to come
+        rows.frombytes(x.tobytes())
         stop_reason = "max_iterations"
         for n in range(cfg.max_iters):
             proj = project_blocks(family, target_of(x))
@@ -289,22 +293,19 @@ def _iterate(family, x, target_of, step, obj, cfg, label) -> ProductSolution:
             x_new = step(n, x, proj)
             displacement = max_distance(x_new.ravel(), x.ravel())
             x = x_new
-            iterates.append(x)
-            moves.append((displacement, stationarity))
+            rows.extend((math.nan, displacement, stationarity))
+            rows.frombytes(x.tobytes())
             if displacement <= cfg.sweep_tol:
                 stop_reason = "converged"
                 break
 
-        fields = [(name, float) for name in _LOG_SCALARS] + [("blocks", float, x.shape)]
-        log = np.recarray(len(iterates), dtype=fields)
-        log.blocks = iterates
-        log.displacement, log.stationarity = zip(*moves)
+        log = np.frombuffer(rows, dtype=fields).view(np.recarray)
         if type(obj) in _STACKED_OBJECTIVES:
             values, blocks, k = log["objective"], log["blocks"], stack_size(*x.shape)
             for start in range(0, len(log), k):
                 values[start : start + k] = obj.value(blocks[start : start + k])
         else:
-            log.objective = [obj.value(y) for y in iterates]
+            log.objective = [obj.value(y) for y in log["blocks"]]
         return _certify(family, x, target_of(x), cfg, stop_reason, log, label)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -19,6 +20,8 @@ from .csvio import write_csv
 from .errors import LengthMismatch, NotConverged
 from .geometry import Family, as_floats, as_vector
 from .sums import distance_kernel, max_distance
+
+_CHUNK_FLOATS = 4096  # coordinates a run holds as Python floats, 32 B each, between flushes
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,8 @@ class Trajectory:
 
     ``iterates`` is an (N, d) array with one row per projection.  Row k
     is inner step k % m of sweep k // m, the output of set
-    ``default_order(m)[k % m]``.
+    ``default_order(m)[k % m]``.  It views the doubles the run recorded,
+    so the history costs 8 B per coordinate, plus one chunk while it runs.
     """
 
     start: np.ndarray
@@ -139,23 +143,28 @@ def run_periodic(family: Family, x0, cfg: Optional[SolverConfig] = None):
     chain = [family.sets[i]._project for i in default_order(m)]
     distance = distance_kernel(family.dim)
     sweep_tol = cfg.sweep_tol
-    flat = []  # the coordinates of every projection output, in order
-    record = flat.extend
+    history, chunk = array("d"), []  # the coordinates of every projection output, in order
+    record = chunk.extend
+    per_flush = max(1, _CHUNK_FLOATS // (m * family.dim))
     stop_reason = "max_iterations"
-    sweeps_used = 0
-    for n in range(cfg.max_sweeps):
-        x_prev = x
-        for project in chain:
-            x = project(x)
-            record(x)
-        sweeps_used = n + 1
-        displacement = distance(x, x_prev)
-        if displacement <= sweep_tol:
-            stop_reason = "converged"
+    for first in range(0, cfg.max_sweeps, per_flush):
+        for n in range(first, min(first + per_flush, cfg.max_sweeps)):
+            x_prev = x
+            for project in chain:
+                x = project(x)
+                record(x)
+            displacement = distance(x, x_prev)
+            if displacement <= sweep_tol:
+                stop_reason = "converged"
+                break
+            if not math.isfinite(displacement):
+                as_vector(x)  # raises ValueError when the iterate is not finite
+        history.fromlist(chunk)
+        chunk.clear()
+        if stop_reason == "converged":
             break
-        if not math.isfinite(displacement):
-            as_vector(x)  # raises ValueError when the iterate is not finite
-    iterates = np.array(flat).reshape(-1, family.dim)
+    sweeps_used = n + 1
+    iterates = np.frombuffer(history).reshape(-1, family.dim)
     # the last sweep's outputs, read back to front, as copies apart from iterates
     cycle = Cycle.from_points(family, iterates[-m:][::-1].copy())
     if stop_reason == "converged" and cycle.residual > cfg.cycle_tol:

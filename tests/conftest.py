@@ -6,6 +6,7 @@ import csv
 import io
 import math
 import sys
+import tracemalloc
 from itertools import repeat
 from functools import reduce
 from operator import add, mul, sub, truediv
@@ -338,6 +339,16 @@ def project_rows_loop(family, y):
     """The blockwise projection row by row: one ``_project`` call per block,
     on the block's list of Python floats."""
     return np.array([s._project(row) for s, row in zip(family.sets, y.tolist())])
+
+
+def traced_peak(run):
+    """``run()`` under tracemalloc: its result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def csv_writer_bytes(header, rows):

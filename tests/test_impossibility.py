@@ -1,6 +1,5 @@
 import math
 import warnings
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CANDIDATE_FORMULAS, csv_writer_bytes, dot_in_order, falsify_candidate_loop, random_unit
+from conftest import (
+    CANDIDATE_FORMULAS,
+    csv_writer_bytes,
+    dot_in_order,
+    falsify_candidate_loop,
+    random_unit,
+    traced_peak,
+)
 from cyclex import (
     BUILTIN_CANDIDATES,
     AntipodalAmbiguity,
@@ -34,7 +40,8 @@ from cyclex import (
     spiral,
 )
 from cyclex import impossibility
-from cyclex.impossibility import VERDICT_FALSIFIED, write_spiral_csv
+from cyclex.impossibility import _WALK_ROWS, VERDICT_FALSIFIED, write_spiral_csv
+from cyclex.sums import norm
 
 
 def spiral_at_angle(alpha, n, start_norm=1.0, target_norm=0.05):
@@ -115,6 +122,41 @@ class TestSpiral:
     def test_plane_hint_must_leave_the_line(self):
         with pytest.raises(AntipodalAmbiguity):
             spiral(SpiralSpec(target=[-0.5, 0.0], start=[1.0, 0.0], n=4, plane=[2.0, 0.0]))
+
+    @pytest.mark.parametrize("n", [2.5, True, False, "3", 0, -1, None])
+    def test_n_must_be_an_integer_at_least_one(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1$"):
+            SpiralSpec(target=[0.0, 0.1], start=[1.0, 0.0], n=n)
+
+    def test_numpy_integer_n_is_an_int(self):
+        spec = SpiralSpec(target=[0.0, 0.1], start=[1.0, 0.0], n=np.int64(3))
+        assert type(spec.n) is int and spec.n == 3
+
+    @pytest.mark.parametrize("n", [1, _WALK_ROWS - 1, _WALK_ROWS, _WALK_ROWS + 1, 2 * _WALK_ROWS + 5])
+    def test_points_are_the_plane_walk_in_every_block(self, n):
+        # the walk's plane coordinates (p, q) for every row at once, then
+        # p e1 + q e2 as two outer products and one add
+        spec = SpiralSpec(target=[0.2, -0.1, 0.3], start=[1.0, 0.5, -0.25], n=n)
+        ny, e1, e2, alpha = spec._frame
+        ps, qs = [ny], [0.0]
+        for k in range(1, n + 1):
+            theta = alpha * (k / n)
+            ct, st = math.cos(theta), math.sin(theta)
+            r = max(ps[-1] * ct + qs[-1] * st, 0.0)
+            ps.append(r * ct)
+            qs.append(r * st)
+        want = np.outer(ps, e1) + np.outer(qs, e2)
+        want[0] = spec.start
+        points, final_norm = spiral(spec)
+        assert points.tobytes() == want.tobytes()
+        assert final_norm == norm(want[-1].tolist())
+
+    def test_points_cost_their_doubles_plus_one_block(self):
+        # 10^5 rays in the plane keep 1.6 MB of points; building them as two
+        # outer products and their sum peaked at 3x that
+        (points, _), peak = traced_peak(lambda: spiral(SpiralSpec(target=[0.0, 0.1], start=[1.0, 0.0], n=100_000)))
+        assert points.shape == (100_001, 2)
+        assert peak <= 1.25 * points.nbytes
 
 
 class TestOrthogonalCompletion:
@@ -400,12 +442,7 @@ def test_falsifier_memory_is_bounded_by_the_probe_stack():
     # several (4004, 780, 5) block-difference arrays of 125 MB each
     z = random_unit(np.random.default_rng(0), 5)
     pairwise = BUILTIN_CANDIDATES["pairwise2"]
-    tracemalloc.start()
-    try:
-        falsify_candidate(pairwise, 40, z, 2.0, 2000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: falsify_candidate(pairwise, 40, z, 2.0, 2000))
     assert peak < 2 * 2**20
 
 

@@ -18,6 +18,7 @@ from conftest import (
     pairwise_squared_loop,
     project_rows_loop,
     quadratic_to_target_formula,
+    traced_peak,
 )
 from cyclex import (
     Ball,
@@ -579,6 +580,55 @@ def test_log_objective_of_a_single_tuple_objective():
     assert [y.shape for y in obj.seen] == [(m, d)] * len(log)
     assert log.objective.tolist() == want
     assert sol.objective == want[-1]
+
+
+def assert_log_is_a_csv_ready_record_array(log, m, d, tmp_path):
+    """``log`` is a record array of the layout np.recarray builds for the
+    log's fields, and the writer's CSV bytes are csv.writer's."""
+    fields = [("objective", float), ("displacement", float), ("stationarity", float), ("blocks", float, (m, d))]
+    assert type(log) is np.recarray
+    assert log.dtype == np.recarray(0, dtype=fields).dtype
+    path = tmp_path / "log.csv"
+    write_iteration_csv(log, path)
+    assert path.read_bytes() == iteration_csv_bytes(log)
+
+
+def test_log_of_a_single_tuple_objective_is_a_record_array(tmp_path):
+    # the per-tuple path fills the objective column of the recorded rows
+    family = equilateral_family()
+    obj = SingleTupleObjective(EQUILATERAL_CENTERS + 0.5)
+    sol = solve_projected_gradient(family, obj, EQUILATERAL_CENTERS, SolverConfig(gamma=0.5))
+    log = sol.log
+    assert len(log) == sol.iterations + 1 > 2
+    assert [y.tobytes() for y in obj.seen] == [y.tobytes() for y in log.blocks]
+    assert log.objective.tolist() == [0.5 * float(np.sum((y - obj.target) ** 2)) for y in obj.seen]
+    assert_log_is_a_csv_ready_record_array(log, 3, 2, tmp_path)
+
+
+def test_log_of_a_run_out_of_budget_is_a_record_array(tmp_path):
+    fam = Family((Ball([0, 0], 1.0), Ball([2, 0], 1.0)))
+    with pytest.raises(NotConverged, match="stop_reason=max_iterations") as exc_info:
+        solve_parallel(fam, [[0, 3], [2, 3]], SolverConfig(max_iters=40), variant="full_mean")
+    log = exc_info.value.diagnostics["solution"].log
+    assert len(log) == 41
+    assert np.isnan(log[0].displacement) and np.isnan(log[0].stationarity)
+    assert np.isfinite(log.objective).all()
+    assert_log_is_a_csv_ready_record_array(log, 2, 2, tmp_path)
+
+
+def test_log_costs_its_doubles_plus_one_objective_stack():
+    # 15 000 iterations of a tangent pair log 0.84 MB; a log gathered as a
+    # list of (m, d) arrays and move tuples peaked at 7x that
+    fam = Family((Ball([0, 0], 1.0), Ball([2, 0], 1.0)))
+
+    def run_out_the_budget():
+        with pytest.raises(NotConverged) as exc_info:
+            solve_parallel(fam, [[0, 3], [2, 3]], SolverConfig(max_iters=15_000), variant="full_mean")
+        return exc_info.value.diagnostics["solution"].log
+
+    log, peak = traced_peak(run_out_the_budget)
+    assert len(log) == 15_001
+    assert peak <= 2 * log.nbytes
 
 
 def repeating_log(n, m, d, seed, p_block, p_cell):

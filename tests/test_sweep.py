@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import csv_writer_bytes, make_set
+from conftest import csv_writer_bytes, make_set, traced_peak
 from cyclex import (
     Ball,
     Box,
@@ -21,7 +21,8 @@ from cyclex import (
     run_periodic,
     sweep_once,
 )
-from cyclex.sweep import write_trajectory_csv
+from cyclex.sums import distance_kernel
+from cyclex.sweep import _CHUNK_FLOATS, write_trajectory_csv
 
 Z = np.array([1.0, 0.0])
 
@@ -233,6 +234,67 @@ def test_run_periodic_rows_replay_sweep_once(variants, dim, seed):
         traj = exc.diagnostics["trajectory"]
     assert traj.iterates.shape == (traj.sweeps_used * fam.m, dim)
     assert_rows_replay_sweep_once(fam, traj)
+
+
+# unit balls that touch at one point: their sweeps keep moving for thousands
+# of sweeps, each move shorter than the one before
+TANGENT_BALLS = {
+    2: (Family((Ball([0, 0], 1.0), Ball([2, 0], 1.0))), [0.0, 3.0]),
+    3: (Family((Ball([0, 0, 0], 1.0), Ball([0, 2, 0], 1.0))), [3.0, 0.5, -1.0]),
+}
+
+
+def sweeps_per_flush(fam):
+    """Sweeps whose coordinates the run gathers before it flushes them."""
+    return _CHUNK_FLOATS // (fam.m * fam.dim)
+
+
+@pytest.mark.parametrize("dim", TANGENT_BALLS)
+@pytest.mark.parametrize("flushes, past_flush", [(1, -1), (1, 0), (1, 1), (3, 7)])
+def test_budget_run_stops_around_a_flush_with_every_row(dim, flushes, past_flush):
+    fam, x0 = TANGENT_BALLS[dim]
+    sweeps = flushes * sweeps_per_flush(fam) + past_flush
+    with pytest.raises(NotConverged, match="stop_reason=max_iterations") as exc_info:
+        run_periodic(fam, x0, SolverConfig(max_sweeps=sweeps))
+    traj = exc_info.value.diagnostics["trajectory"]
+    assert traj.sweeps_used == sweeps
+    assert traj.iterates.dtype == np.float64 and traj.iterates.shape == (sweeps * fam.m, dim)
+    assert_rows_replay_sweep_once(fam, traj)
+
+
+@pytest.mark.parametrize("dim", TANGENT_BALLS)
+@pytest.mark.parametrize("past_flush", [-1, 0, 1])
+def test_converged_run_stops_around_a_flush_with_every_row(dim, past_flush):
+    # the tolerance is the displacement of the chosen sweep, which is below
+    # every earlier one: the run converges exactly there
+    fam, x0 = TANGENT_BALLS[dim]
+    sweeps = sweeps_per_flush(fam) + past_flush
+    with pytest.raises(NotConverged) as exc_info:
+        run_periodic(fam, x0, SolverConfig(max_sweeps=sweeps))
+    ends = exc_info.value.diagnostics["trajectory"].sweep_ends().tolist()
+    distance = distance_kernel(dim)
+    moves = [distance(b, a) for a, b in zip(ends, ends[1:])]
+    assert min(moves[:-1]) > moves[-1] > 0.0
+    traj, _ = run_periodic(fam, x0, SolverConfig(sweep_tol=moves[-1], cycle_tol=1.0))
+    assert traj.stop_reason == "converged"
+    assert traj.sweeps_used == sweeps
+    assert traj.iterates.shape == (sweeps * fam.m, dim)
+    assert_rows_replay_sweep_once(fam, traj)
+
+
+def test_trajectory_costs_its_doubles_plus_one_chunk():
+    # 50 000 sweeps of the tangent pair keep 1.6 MB of iterates; a run that
+    # kept them as Python floats, 32 B each, peaked at 5x that
+    fam, x0 = TANGENT_BALLS[2]
+
+    def run_out_the_budget():
+        with pytest.raises(NotConverged) as exc_info:
+            run_periodic(fam, x0, SolverConfig(max_sweeps=50_000))
+        return exc_info.value.diagnostics["trajectory"].iterates
+
+    iterates, peak = traced_peak(run_out_the_budget)
+    assert iterates.shape == (100_000, 2)
+    assert peak <= 1.25 * iterates.nbytes
 
 
 @settings(max_examples=40, deadline=None)
