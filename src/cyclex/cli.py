@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import SolverConfig
+from .config import SolverConfig, choice, count, real
 from .errors import ConfigValidation, CyclexError, NotConverged
 from .geometry import Family, as_floats, as_vector, from_descriptor, project
 from .impossibility import (
@@ -135,30 +135,15 @@ _as_blocks = _converted(as_product_point)  # a flat point is one block
 _as_start = _converted(lambda v: as_vector(v) if np.ndim(v) == 1 else as_product_point(v))
 
 
-def _real(value, errors, name):
-    # bools are ints in Python and JSON gives NaN and Infinity as floats
-    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
-        return float(value)
-    errors.append(f"{name} must be a finite number")
-    return None
+def _rule(check, *args):
+    """The parser of a scalar that ``check(value, name, *args)``, a rule of cyclex.config, accepts."""
 
-
-def _integer(low):
     def parse(value, errors, name):
-        if type(value) is int and value >= low:
-            return value
-        errors.append(f"{name} must be an integer >= {low}")
-        return None
-
-    return parse
-
-
-def _choice(options):
-    def parse(value, errors, name):
-        if isinstance(value, str) and value in options:
-            return value
-        errors.append(f"{name} must be one of {', '.join(options)}")
-        return None
+        try:
+            return check(value, name, *args)
+        except ValueError as exc:
+            errors.append(str(exc))
+            return None
 
     return parse
 
@@ -188,13 +173,9 @@ def _build_family(descs, errors, name):
 
 
 _SOLVER_SETTINGS = {
-    "gamma": _real,
-    "lambda": _real,
-    "sweep_tol": _real,
-    "cycle_tol": _real,
-    "fixpoint_tol": _real,
-    "max_sweeps": _integer(1),
-    "max_iters": _integer(1),
+    **dict.fromkeys(("gamma", "lambda", "sweep_tol", "cycle_tol", "fixpoint_tol"), _rule(real)),
+    "max_sweeps": _rule(count, 1),
+    "max_iters": _rule(count, 1),
 }
 
 
@@ -413,7 +394,7 @@ _FAMILY_BLOCKS = {"family": (_build_family, _REQUIRED), "start": (_as_start, _RE
 _COMMON_KEYS = {
     "solver": (_build_solver, SolverConfig()),
     "output": (_output, (None, None)),
-    "seed": (_integer(0), 0),
+    "seed": (_rule(count, 0), 0),
 }
 
 _KINDS = {
@@ -425,29 +406,29 @@ _KINDS = {
         _run_projected_gradient,
     ),
     "parallel": _Kind(
-        {**_FAMILY_BLOCKS, "variant": (_choice(PARALLEL_VARIANTS), "others_mean")},
+        {**_FAMILY_BLOCKS, "variant": (_rule(choice, PARALLEL_VARIANTS), "others_mean")},
         _check_variant,
         _run_parallel,
     ),
     "spiral": _Kind(
-        {"x": _POINT, "y": _POINT, "n": (_integer(1), _REQUIRED), "plane": (_as_point, None)},
+        {"x": _POINT, "y": _POINT, "n": (_rule(count, 1), _REQUIRED), "plane": (_as_point, None)},
         _check_spiral,
         _run_spiral,
     ),
     "falsify": _Kind(
         {
-            "candidate": (_choice(sorted(BUILTIN_CANDIDATES)), _REQUIRED),
-            "m": (_integer(3), _REQUIRED),
-            "rho": (_real, _REQUIRED),
+            "candidate": (_rule(choice, sorted(BUILTIN_CANDIDATES)), _REQUIRED),
+            "m": (_rule(count, 3), _REQUIRED),
+            "rho": (_rule(real), _REQUIRED),
             "z": (_as_point, (1.0, 0.0)),
-            "sphere_samples": (_integer(2), 16),
+            "sphere_samples": (_rule(count, 2), 16),
         },
         _check_falsify,
         _run_falsify,
         csv=False,
     ),
     "gap": _Kind(
-        {**_FAMILY_START, "candidate_kind": (_choice(OBJECTIVES), _REQUIRED)},
+        {**_FAMILY_START, "candidate_kind": (_rule(choice, OBJECTIVES), _REQUIRED)},
         _check_start,
         _run_gap,
         csv=False,
@@ -494,8 +475,6 @@ def _json_text(payload: dict) -> str:
 
 def _out_paths(config: ExperimentConfig, out_dir):
     base = out_dir or ""  # the current directory
-    if base and not os.path.isdir(base):
-        os.makedirs(base, exist_ok=True)
 
     def resolve(explicit, suffix):  # an absolute path replaces base
         return os.path.join(base, f"{config.kind}.{suffix}" if explicit is None else explicit)
@@ -507,16 +486,22 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> int:
     """Run a validated config, write its artifacts, return the exit code.
 
     A run that does not converge still writes its last state, with exit
-    code 2; one that fails, or an artifact that cannot be written, is 1.
+    code 2; one that fails, or an artifact that cannot be written, is 1,
+    as is a CSV and a JSON path that name one file, before anything runs.
     """
     kind = _KINDS[config.kind]
     try:
+        csv_path, json_path = _out_paths(config, out_dir)
+        if kind.csv and os.path.abspath(csv_path) == os.path.abspath(json_path):
+            print(f"config error: output.csv and output.json both name {json_path}", file=sys.stderr)
+            return 1
         try:
             code, payload, write_csv = kind.run(config)
         except NotConverged as exc:
             print(f"not converged: {exc}", file=sys.stderr)
             code, payload, write_csv = _not_converged(exc)
-        csv_path, json_path = _out_paths(config, out_dir)
+        if out_dir and not os.path.isdir(out_dir):
+            os.makedirs(out_dir, exist_ok=True)
         if kind.csv:
             write_csv(csv_path)
         with open(json_path, "w") as fh:

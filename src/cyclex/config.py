@@ -1,8 +1,12 @@
-"""Solver configuration shared by the sweep and product-space engines."""
+"""Solver configuration shared by the sweep and product-space engines, and
+the one rule for each kind of scalar input: ``count``, ``real`` and ``choice``
+each return the value they accept and raise ValueError naming the key."""
 
 from __future__ import annotations
 
-import math
+import numbers
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -14,6 +18,32 @@ DEFAULTS = {
     "max_sweeps": 100_000,
     "max_iters": 100_000,
 }
+
+
+def count(value, name, low):
+    """``value`` as an int >= ``low``: an int or a numpy integer, never a bool."""
+    try:
+        if not isinstance(value, bool) and operator.index(value) >= low:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer >= {low}")
+
+
+def real(value, name):
+    """``value`` as a finite float: an int or a float, numpy's too, never a bool or a string."""
+    big = sys.float_info.max  # an int past it is refused, not rounded to inf
+    # float and int first: the ABC check that numpy's scalars need costs 0.4 us
+    if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool) and -big <= value <= big:
+        return float(value)
+    raise ValueError(f"{name} must be a finite number")
+
+
+def choice(value, name, options):
+    """``value`` if it is one of the strings ``options``."""
+    if isinstance(value, str) and value in options:
+        return value
+    raise ValueError(f"{name} must be one of {', '.join(options)}")
 
 
 @dataclass(frozen=True)
@@ -48,16 +78,15 @@ class SolverConfig:
     max_iters: int = DEFAULTS["max_iters"]
 
     def __post_init__(self):
-        if self.gamma is not None and (not math.isfinite(self.gamma) or self.gamma <= 0.0):
-            raise ValueError("gamma must be positive and finite")
-        for name in ("sweep_tol", "cycle_tol", "fixpoint_tol"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
+        for name in ("gamma", "sweep_tol", "cycle_tol", "fixpoint_tol"):
+            if name == "gamma" and self.gamma is None:
+                continue  # the solver picks the step
+            value = real(getattr(self, name), name)
+            if value <= 0.0:
                 raise ValueError(f"{name} must be positive and finite")
+            object.__setattr__(self, name, value)
         for name in ("max_sweeps", "max_iters"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
+            object.__setattr__(self, name, count(getattr(self, name), name, 1))
 
     def relaxation(self, n: int) -> float:
         """lambda_n of the configured schedule (constant 1 by default)."""

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .config import SolverConfig
+from .config import SolverConfig, choice, count, real
 from .csvio import write_csv
 from .errors import (
     AntipodalAmbiguity,
@@ -68,13 +67,7 @@ class SpiralSpec:
         object.__setattr__(self, "start", as_vector(self.start, self.target.shape[0]))
         if self.plane is not None:
             object.__setattr__(self, "plane", as_vector(self.plane, self.target.shape[0]))
-        try:  # an int or a numpy integer; a bool, float or string is refused
-            n = 0 if isinstance(self.n, bool) else operator.index(self.n)
-        except TypeError:
-            n = 0
-        if n < 1:
-            raise ValueError("n must be an integer >= 1")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", count(self.n, "n", 1))
 
     @property
     def alpha(self) -> float:
@@ -178,12 +171,12 @@ class DegenerateFamilies:
 
 
 def _check_unit_rho(z, rho: float):
-    z = as_vector(z)
+    z, rho = as_vector(z), real(rho, "rho")
     if abs(norm(z.tolist()) - 1.0) > UNIT_NORM_TOL:
         raise InvalidUnitVector(f"z must have unit norm to {UNIT_NORM_TOL:g}")
     if not (rho > 1.0):
         raise InvalidRho("rho must exceed 1")
-    return z
+    return z, rho
 
 
 def degenerate_families(
@@ -200,9 +193,8 @@ def degenerate_families(
     the closed-form residuals are checked to be exactly zero and the
     periodic engine is run from five random starts against each cycle.
     """
-    z = _check_unit_rho(z, rho)
-    if m < 3:
-        raise ValueError("degenerate families need m >= 3")
+    z, rho = _check_unit_rho(z, rho)
+    m = count(m, "m", 3)
     d = z.shape[0]
     origin = Singleton(np.zeros(d))
     seg = Segment(-z, z)
@@ -348,11 +340,8 @@ def falsify_candidate(
     order (z, rho z), (-z, rho z), (-z, -rho z), (z, -rho z), then -z and
     then z against each sphere point.
     """
-    z = _check_unit_rho(z, rho)
-    if m < 3:
-        raise ValueError("the loop construction needs m >= 3")
-    if sphere_samples < 2:
-        raise ValueError("sphere_samples must be >= 2")
+    z, rho = _check_unit_rho(z, rho)
+    m, sphere_samples = count(m, "m", 3), count(sphere_samples, "sphere_samples", 2)
     rng = rng if rng is not None else np.random.default_rng(0)
 
     rz = rho * z
@@ -426,8 +415,7 @@ def candidate_gap(family: Family, candidate_kind: str, x0, cfg: Optional[SolverC
     positive displacement exhibits that the cycle does not minimize the
     candidate.
     """
-    if candidate_kind not in OBJECTIVES:
-        raise ValueError(f"candidate_kind must be one of {sorted(OBJECTIVES)}")
+    choice(candidate_kind, "candidate_kind", OBJECTIVES)
     cfg = cfg if cfg is not None else SolverConfig()
     x0 = as_vector(x0, family.dim)
     _, cycle = run_periodic(family, x0, cfg)

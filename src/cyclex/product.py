@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import SolverConfig
+from .config import SolverConfig, choice
 from .csvio import reused_texts, write_csv
 from .errors import BlockCountMismatch, DimensionMismatch, InvalidStepSize, NotConverged, TooFewSets
 from .geometry import Family, as_vector
@@ -258,8 +258,7 @@ def solve_parallel(family: Family, x0, cfg: Optional[SolverConfig] = None, varia
     NotConverged (solution attached) when the budget runs out or the limit
     fails the certificate that solve_projected_gradient also applies.
     """
-    if variant not in PARALLEL_VARIANTS:
-        raise ValueError(f"variant must be one of {PARALLEL_VARIANTS}")
+    choice(variant, "variant", PARALLEL_VARIANTS)
     m = family.m
     if variant == "others_mean" and m < 3:
         raise TooFewSets("others_mean needs at least three sets")

@@ -341,6 +341,17 @@ def project_rows_loop(family, y):
     return np.array([s._project(row) for s, row in zip(family.sets, y.tolist())])
 
 
+def assert_rows_replay_sweeps(family, traj):
+    """Each sweep's rows equal, bit for bit, the sets' own ``_project`` applied
+    last set first, replayed from the recorded start."""
+    x, rows = traj.start.tolist(), []
+    for _ in range(traj.sweeps_used):
+        for s in reversed(family.sets):
+            x = s._project(x)
+            rows.append(x)
+    assert np.array_equal(traj.iterates, np.array(rows, dtype=float).reshape(-1, family.dim))
+
+
 def traced_peak(run):
     """``run()`` under tracemalloc: its result and the peak bytes traced while it ran."""
     tracemalloc.start()

@@ -701,6 +701,34 @@ def test_an_empty_config_path_names_the_current_directory(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "output, path",
+    [({"json": "periodic.csv"}, "periodic.csv"), ({"csv": "same.out", "json": "same.out"}, "same.out"),
+     ({"csv": "./a/x", "json": "a/x"}, "a/x")],
+    ids=["json_on_the_default_csv", "one_name", "one_name_after_normalizing"],
+)
+def test_one_path_for_both_artifacts_is_one_config_error(tmp_path, capsys, output, path):
+    # the JSON would overwrite the CSV: nothing runs, and nothing is written
+    assert run_main(tmp_path, periodic_config(output=output)) == 1
+    expected = f"config error: output.csv and output.json both name {tmp_path / 'out' / path}"
+    assert capsys.readouterr().err.splitlines() == [expected]
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_absolute_and_a_relative_name_of_one_file_are_one_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    output = {"csv": str(tmp_path / "same.out"), "json": "same.out"}
+    (tmp_path / "cfg.json").write_text(json.dumps(periodic_config(output=output)))
+    assert main(["run", "--config", "cfg.json", "--out-dir", ""]) == 1
+    assert capsys.readouterr().err.splitlines() == ["config error: output.csv and output.json both name same.out"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_a_kind_without_a_csv_may_name_its_json_as_the_csv(tmp_path):
+    assert run_main(tmp_path, {**FALSIFY, "output": {"csv": "r.json", "json": "r.json"}}) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["r.json"]
+
+
 @pytest.mark.parametrize("center", [[0, True], [True, 0.5], [1.5, False, 2]])
 def test_a_bool_in_a_vector_field_is_one_config_error(tmp_path, capsys, center):
     family = [{"type": "ellipsoid", "center": center, "axes": [1.0] * len(center)}, THREE_BALLS[0]]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import csv_writer_bytes, make_set, traced_peak
+from conftest import assert_rows_replay_sweeps, csv_writer_bytes, make_set, traced_peak
 from cyclex import (
     Ball,
     Box,
@@ -202,21 +202,12 @@ def test_trajectory_csv_layout(tmp_path):
     assert len(lines) == 1 + len(traj.iterates)
 
 
-def assert_rows_replay_sweep_once(fam, traj):
-    """Each sweep's rows equal, bit for bit, the public sweep_once replayed
-    from the recorded start."""
-    x = traj.start
-    for n in range(traj.sweeps_used):
-        x, inter = sweep_once(fam, x)
-        assert np.array_equal(traj.iterates[n * fam.m : (n + 1) * fam.m], inter)
-
-
 def test_trajectory_iterates_are_one_array():
     fam = degenerate_family()
     traj, _ = run_periodic(fam, [5, 5])
     assert isinstance(traj.iterates, np.ndarray)
     assert traj.iterates.shape == (traj.sweeps_used * fam.m, 2)
-    assert_rows_replay_sweep_once(fam, traj)
+    assert_rows_replay_sweeps(fam, traj)
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,7 +224,7 @@ def test_run_periodic_rows_replay_sweep_once(variants, dim, seed):
     except NotConverged as exc:
         traj = exc.diagnostics["trajectory"]
     assert traj.iterates.shape == (traj.sweeps_used * fam.m, dim)
-    assert_rows_replay_sweep_once(fam, traj)
+    assert_rows_replay_sweeps(fam, traj)
 
 
 # unit balls that touch at one point: their sweeps keep moving for thousands
@@ -259,7 +250,7 @@ def test_budget_run_stops_around_a_flush_with_every_row(dim, flushes, past_flush
     traj = exc_info.value.diagnostics["trajectory"]
     assert traj.sweeps_used == sweeps
     assert traj.iterates.dtype == np.float64 and traj.iterates.shape == (sweeps * fam.m, dim)
-    assert_rows_replay_sweep_once(fam, traj)
+    assert_rows_replay_sweeps(fam, traj)
 
 
 @pytest.mark.parametrize("dim", TANGENT_BALLS)
@@ -279,7 +270,7 @@ def test_converged_run_stops_around_a_flush_with_every_row(dim, past_flush):
     assert traj.stop_reason == "converged"
     assert traj.sweeps_used == sweeps
     assert traj.iterates.shape == (sweeps * fam.m, dim)
-    assert_rows_replay_sweep_once(fam, traj)
+    assert_rows_replay_sweeps(fam, traj)
 
 
 def test_trajectory_costs_its_doubles_plus_one_chunk():
