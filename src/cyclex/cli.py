@@ -504,8 +504,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> int:
             os.makedirs(out_dir, exist_ok=True)
         if kind.csv:
             write_csv(csv_path)
-        with open(json_path, "w") as fh:
-            fh.write(_json_text(payload))
+        try:
+            with open(json_path, "w") as fh:
+                fh.write(_json_text(payload))
+        except OSError as exc:  # a failed write or close names no file
+            exc.filename = json_path if exc.filename is None else exc.filename
+            raise
     except _ERRORS as exc:
         return _report(exc)
     return code

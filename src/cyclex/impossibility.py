@@ -440,7 +440,7 @@ def write_spiral_csv(points: np.ndarray, out) -> None:
 
     def columns(start, stop):
         block = points[start:stop]
-        return [range(start, stop), *block.T.tolist(), norms_last(block).tolist()]
+        return [np.arange(start, stop)], np.column_stack((block, norms_last(block)))
 
     header = ["k"] + [f"x_{j}" for j in range(d)] + ["norm"]
     write_csv(out, header, 1, len(points), columns)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .config import SolverConfig, choice
-from .csvio import reused_texts, write_csv
+from .csvio import write_csv
 from .errors import BlockCountMismatch, DimensionMismatch, InvalidStepSize, NotConverged, TooFewSets
 from .geometry import Family, as_vector
 from .sums import dot_last, max_distance, pow2, top_exponent
@@ -372,20 +372,13 @@ def fixpoint_check(family: Family, blocks):
 
 
 def write_iteration_csv(log, path) -> None:
-    """Iteration log rows: iter,objective_value,displacement,stationarity_residual,blocks.
-
-    A block coordinate is formatted only where its bits differ from the row
-    above; a set that stopped moving, or a coordinate held on a box face,
-    reuses that row's text (``csvio.reused_texts``).
-    """
+    """Iteration log rows: iter,objective_value,displacement,stationarity_residual,blocks."""
     _, m, d = log.blocks.shape
     header = ["iter", "objective_value", "displacement", "stationarity_residual"]
     header += [f"block{i}_x{j}" for i in range(m) for j in range(d)]
+    values = np.asarray(log).view(np.float64).reshape(len(log), len(header) - 1)  # the fields in header order
 
     def columns(start, stop):
-        rows = log[start:stop]
-        scalars = [rows[name].tolist() for name in _LOG_SCALARS]
-        texts = reused_texts(rows["blocks"].reshape(stop - start, m * d))
-        return [range(start, stop), *scalars, *texts.T.tolist()]
+        return [np.arange(start, stop)], values[start:stop]
 
     write_csv(path, header, 1, len(log), columns)

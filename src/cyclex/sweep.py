@@ -208,7 +208,6 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     def columns(start, stop):
         k = np.arange(start, stop)
         inner = k % m
-        return [(k // m).tolist(), inner.tolist(), order[inner].tolist(),
-                *trajectory.iterates[start:stop].T.tolist()]
+        return [k // m, inner, order[inner]], trajectory.iterates[start:stop]
 
     write_csv(path, header, 3, len(trajectory.iterates), columns)

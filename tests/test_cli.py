@@ -835,6 +835,24 @@ def test_a_closed_standard_output_is_named(capsys, monkeypatch):
     assert capsys.readouterr().err.splitlines() == ["cannot write standard output: Broken pipe"]
 
 
+FULL = "/dev/full"  # every write to it fails with ENOSPC
+needs_full = pytest.mark.skipif(not os.path.exists(FULL), reason=f"no {FULL} here")
+
+
+@needs_full
+@pytest.mark.parametrize("artifact", ["csv", "json"])
+def test_a_failed_artifact_write_names_the_artifact(tmp_path, capsys, artifact):
+    # the write fails after open, when the file's buffer is flushed
+    assert run_main(tmp_path, {**PERIODIC, "output": {artifact: FULL}}) == 1
+    assert capsys.readouterr().err.splitlines() == [f"cannot write {FULL}: No space left on device"]
+
+
+@needs_full
+def test_a_failed_spiral_write_names_the_file(capsys):
+    assert main(["spiral", "--x", "0,0.1", "--y", "1,0", "--n", "3", "--out", FULL]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"cannot write {FULL}: No space left on device"]
+
+
 FAR_FAMILY = [
     {"type": "ball", "center": [0, 0], "radius": 1},
     {"type": "ball", "center": [4, 0], "radius": 1},

@@ -668,7 +668,7 @@ def repeating_log(n, m, d, seed, p_block, p_cell):
     p_cell=st.sampled_from([0.0, 0.3, 0.9]),
 )
 def test_iteration_csv_equals_repr_per_cell(tmp_path_factory, m, d, span, offset, seed, p_block, p_cell):
-    # reused text must write the bytes of one repr per cell, across and
+    # repeated cells must write the bytes of one repr per cell, across and
     # inside the blocks of _BLOCK_CELLS cells the writer formats at a time
     n = max(1, span * (_BLOCK_CELLS // (4 + m * d)) + offset)
     log = repeating_log(n, m, d, seed, p_block, p_cell)
