@@ -10,8 +10,12 @@ with one line on stderr for 1; ``main`` turns each failure into its code,
 and a warning into one ``warning:`` line (1 where the filters make it an error).
 
 ``_KINDS`` is the one place an experiment kind is defined: its config
-keys (each with a typed parser and either a default or required), its
-cross-field checks, its runner, and whether it writes a CSV.  The
+keys (each with a typed parser and either a default or required), the
+check that puts its parsed inputs to the library's cross-field rules, its
+runner, and whether it writes a CSV.  Every rule a value must meet is the
+library's own (``cyclex.config`` for scalars and solver settings, and the
+constructors and checks of geometry, product and impossibility for the
+rest); the CLI only turns each refusal into one error line.  The
 ``spiral`` and ``falsify`` subcommands build a config from their
 arguments, so every entry point validates through the same table.
 
@@ -34,14 +38,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import SolverConfig, choice, count, real
+from .config import SOLVER_RULES, SolverConfig, choice, count, real
 from .errors import ConfigValidation, CyclexError, NotConverged
 from .geometry import Family, as_floats, as_vector, from_descriptor, project
 from .impossibility import (
     BUILTIN_CANDIDATES,
-    UNIT_NORM_TOL,
     SpiralSpec,
     VERDICT_FALSIFIED,
+    _check_rho,
+    _check_unit,
     candidate_gap,
     falsify_candidate,
     spiral,
@@ -52,6 +57,7 @@ from .product import (
     PARALLEL_VARIANTS,
     QuadraticToTarget,
     as_product_point,
+    parallel_variant,
     solve_parallel,
     solve_projected_gradient,
     write_iteration_csv,
@@ -70,8 +76,8 @@ class ExperimentConfig:
     """A fully validated experiment: common settings plus the kind's inputs.
 
     ``inputs`` maps each config key of the kind to its parsed value (the
-    product kinds add ``start_blocks``); inputs also read as attributes,
-    e.g. ``config.family``.
+    product kinds add ``start_blocks``, the spiral kind its ``spec``);
+    inputs also read as attributes, e.g. ``config.family``.
     """
 
     kind: str
@@ -86,6 +92,16 @@ class ExperimentConfig:
             return self.__dict__["inputs"][name]
         except KeyError:
             raise AttributeError(name) from None
+
+
+def _checked(errors, prefix, call, *args):
+    """``call(*args)``, a rule of the library; None after appending its refusal,
+    after ``prefix``, to ``errors``."""
+    try:
+        return call(*args)
+    except _PARSE_ERRORS as exc:
+        errors.append(f"{prefix}{exc}")
+        return None
 
 
 # Parsers: parse(value, errors, name) returns the typed value, or appends
@@ -120,11 +136,7 @@ def _converted(convert):
     """The parser of a converter of numbers that raises on a bad value."""
 
     def parse(value, errors, name):
-        try:
-            return convert(_numbers(value, "coordinates"))
-        except _PARSE_ERRORS as exc:
-            errors.append(f"{name}: {exc}")
-            return None
+        return _checked(errors, f"{name}: ", lambda: convert(_numbers(value, "coordinates")))
 
     return parse
 
@@ -136,16 +148,14 @@ _as_start = _converted(lambda v: as_vector(v) if np.ndim(v) == 1 else as_product
 
 
 def _rule(check, *args):
-    """The parser of a scalar that ``check(value, name, *args)``, a rule of cyclex.config, accepts."""
+    """The parser of a value that ``check(value, name, *args)``, a rule of the library, accepts."""
+    return lambda value, errors, name: _checked(errors, "", check, value, name, *args)
 
-    def parse(value, errors, name):
-        try:
-            return check(value, name, *args)
-        except ValueError as exc:
-            errors.append(str(exc))
-            return None
 
-    return parse
+def _unit_z(value, errors, name):
+    """A point that is a unit vector with a plane through it, as the falsifier needs."""
+    z = _as_point(value, errors, name)
+    return None if z is None else _checked(errors, "", _check_unit, z, name, 2)
 
 
 def _build_family(descs, errors, name):
@@ -164,44 +174,28 @@ def _build_family(descs, errors, name):
     for i, s in built:
         if s.dim != built[0][1].dim:
             errors.append(f"family[{i}] has dimension {s.dim}, expected {built[0][1].dim}")
-    if len(errors) > n_errors:
-        return None
-    if len(built) < 2:
-        errors.append("family needs at least two sets")
-        return None
-    return Family(tuple(s for _, s in built))
-
-
-_SOLVER_SETTINGS = {
-    **dict.fromkeys(("gamma", "lambda", "sweep_tol", "cycle_tol", "fixpoint_tol"), _rule(real)),
-    "max_sweeps": _rule(count, 1),
-    "max_iters": _rule(count, 1),
-}
+    return None if len(errors) > n_errors else _checked(errors, "", Family, tuple(s for _, s in built))
 
 
 def _build_solver(data, errors, name):
+    """The SolverConfig of a ``solver`` object: each setting through its rule in
+    SOLVER_RULES, so that every bad one is reported; ``lambda`` (>= 0) sets a
+    constant relaxation schedule, which no rule covers."""
     if not isinstance(data, dict):
         errors.append("solver must be an object")
         return None
-    kwargs = {}
+    n_errors, kwargs = len(errors), {}
     for key, value in data.items():
-        if key not in _SOLVER_SETTINGS:
-            errors.append(f"solver.{key} is not a recognized setting")
+        if key == "lambda":
+            lam = _rule(real)(value, errors, "solver.lambda")
+            if lam is not None and lam < 0.0:
+                errors.append("solver.lambda must be >= 0")
+            kwargs["lambda_schedule"] = lambda n, _lam=lam: _lam
+        elif key in SOLVER_RULES:
+            kwargs[key] = _rule(SOLVER_RULES[key])(value, errors, f"solver.{key}")
         else:
-            kwargs[key] = _SOLVER_SETTINGS[key](value, errors, f"solver.{key}")
-    if None in kwargs.values():
-        return None
-    lam = kwargs.pop("lambda", None)
-    if lam is not None:
-        if lam < 0.0:
-            errors.append("solver.lambda must be >= 0")
-            return None
-        kwargs["lambda_schedule"] = lambda n, _lam=lam: _lam
-    try:
-        return SolverConfig(**kwargs)
-    except ValueError as exc:
-        errors.append(f"solver: {exc}")
-        return None
+            errors.append(f"solver.{key} is not a recognized setting")
+    return None if len(errors) > n_errors else SolverConfig(**kwargs)
 
 
 def _output(data, errors, name):
@@ -235,13 +229,13 @@ def _objective(data, errors, name):
 
 
 # Cross-field checks: check(inputs, errors) on the parsed inputs, any of
-# which may be None after a parse error.
+# which may be None after a parse error.  Each asks the library's own rule.
 
 
 def _check_start(inputs, errors):
     family, start = inputs["family"], inputs["start"]
-    if family is not None and start is not None and start.shape[0] != family.dim:
-        errors.append(f"start has dimension {start.shape[0]}, family expects {family.dim}")
+    if family is not None and start is not None:
+        _checked(errors, "start: ", as_vector, start, family.dim)
 
 
 def _check_pair(inputs, errors):
@@ -250,49 +244,27 @@ def _check_pair(inputs, errors):
     _check_start(inputs, errors)
 
 
-def _check_block_shape(name, blocks, family, errors):
-    if blocks.shape[0] != family.m:
-        errors.append(f"{name} has {blocks.shape[0]} blocks, family has {family.m} sets")
-    elif blocks.shape[1] != family.dim:
-        errors.append(f"{name} blocks have dimension {blocks.shape[1]}, family expects {family.dim}")
-
-
-def _check_blocks(inputs, errors):
-    """Set ``start_blocks``: the start rows, or one start point per set."""
-    family, start = inputs["family"], inputs["start"]
-    if family is not None and start is not None:
+def _check_product(inputs, errors):
+    """Set ``start_blocks``, the start rows or the start point once per set, and check
+    them, the objective's target and the parallel variant against the family."""
+    family, start, objective, variant = map(inputs.get, ("family", "start", "objective", "variant"))
+    if family is None:
+        return
+    if start is not None:
         blocks = np.tile(start, (family.m, 1)) if start.ndim == 1 else start
-        _check_block_shape("start", blocks, family, errors)
-        inputs["start_blocks"] = blocks
+        inputs["start_blocks"] = _checked(errors, "start: ", as_product_point, blocks, family.m, family.dim)
+    if objective is not None and objective[1] is not None:
+        _checked(errors, "objective.target: ", as_product_point, objective[1], family.m, family.dim)
+    if variant is not None:
+        _checked(errors, "", parallel_variant, variant, family.m)
 
 
-def _check_objective(inputs, errors):
-    _check_blocks(inputs, errors)
-    family, objective = inputs["family"], inputs["objective"]
-    if family is not None and objective is not None and objective[1] is not None:
-        _check_block_shape("objective.target", objective[1], family, errors)
-
-
-def _check_variant(inputs, errors):
-    _check_blocks(inputs, errors)
-    family = inputs["family"]
-    if inputs["variant"] == "others_mean" and family is not None and family.m < 3:
-        errors.append("variant others_mean needs at least three sets")
-
-
-def _check_spiral(inputs, errors):
-    x = inputs["x"]
-    for key in ("y", "plane"):
-        if x is not None and inputs[key] is not None and inputs[key].shape[0] != x.shape[0]:
-            errors.append(f"x and {key} must share dimension")
-
-
-def _check_falsify(inputs, errors):
-    rho, z = inputs["rho"], inputs["z"]
-    if rho is not None and not rho > 1.0:
-        errors.append("rho must exceed 1")
-    if z is not None and abs(norm(np.asarray(z, dtype=float).tolist()) - 1.0) > UNIT_NORM_TOL:
-        errors.append("z must be a unit vector")
+def _spiral_spec(inputs, errors):
+    """Set ``spec``, the SpiralSpec of the parsed inputs, which the run reuses; a
+    refused ``n``, already reported, is 1 here, so the points are still checked."""
+    x, y, n, plane = map(inputs.get, ("x", "y", "n", "plane"))
+    if x is not None and y is not None:
+        inputs["spec"] = _checked(errors, "", SpiralSpec, x, y, 1 if n is None else n, plane)
 
 
 # Runners: run(config) returns (exit code, JSON payload, CSV writer taking
@@ -350,7 +322,7 @@ def _run_parallel(config):
 
 
 def _run_spiral(config):
-    spec = SpiralSpec(target=config.x, start=config.y, n=config.n, plane=config.plane)
+    spec = config.spec
     points, final_norm = spiral(spec)
     payload = {
         "alpha": float(spec.alpha),
@@ -381,8 +353,8 @@ def _run_gap(config):
 @dataclass(frozen=True)
 class _Kind:
     keys: dict  # config key -> (parser, default), or (parser, _REQUIRED)
-    check: Callable
     run: Callable
+    check: Callable = lambda inputs, errors: None
     csv: bool = True
 
 
@@ -398,39 +370,36 @@ _COMMON_KEYS = {
 }
 
 _KINDS = {
-    "periodic": _Kind(_FAMILY_START, _check_start, _run_periodic),
-    "pair_distance": _Kind(_FAMILY_START, _check_pair, _run_pair_distance),
+    "periodic": _Kind(_FAMILY_START, _run_periodic, _check_start),
+    "pair_distance": _Kind(_FAMILY_START, _run_pair_distance, _check_pair),
     "projected_gradient": _Kind(
-        {**_FAMILY_BLOCKS, "objective": (_objective, _REQUIRED)},
-        _check_objective,
-        _run_projected_gradient,
+        {**_FAMILY_BLOCKS, "objective": (_objective, _REQUIRED)}, _run_projected_gradient, _check_product
     ),
     "parallel": _Kind(
         {**_FAMILY_BLOCKS, "variant": (_rule(choice, PARALLEL_VARIANTS), "others_mean")},
-        _check_variant,
         _run_parallel,
+        _check_product,
     ),
     "spiral": _Kind(
         {"x": _POINT, "y": _POINT, "n": (_rule(count, 1), _REQUIRED), "plane": (_as_point, None)},
-        _check_spiral,
         _run_spiral,
+        _spiral_spec,
     ),
     "falsify": _Kind(
         {
             "candidate": (_rule(choice, sorted(BUILTIN_CANDIDATES)), _REQUIRED),
             "m": (_rule(count, 3), _REQUIRED),
-            "rho": (_rule(real), _REQUIRED),
-            "z": (_as_point, (1.0, 0.0)),
+            "rho": (_rule(_check_rho), _REQUIRED),
+            "z": (_unit_z, (1.0, 0.0)),
             "sphere_samples": (_rule(count, 2), 16),
         },
-        _check_falsify,
         _run_falsify,
         csv=False,
     ),
     "gap": _Kind(
         {**_FAMILY_START, "candidate_kind": (_rule(choice, OBJECTIVES), _REQUIRED)},
-        _check_start,
         _run_gap,
+        _check_start,
         csv=False,
     ),
 }

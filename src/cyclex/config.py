@@ -1,6 +1,7 @@
 """Solver configuration shared by the sweep and product-space engines, and
-the one rule for each kind of scalar input: ``count``, ``real`` and ``choice``
-each return the value they accept and raise ValueError naming the key."""
+the one rule for each kind of scalar input: ``count``, ``real``, ``positive``
+and ``choice`` each return the value they accept and raise ValueError naming
+the key.  ``SOLVER_RULES`` says which rule each numeric SolverConfig field takes."""
 
 from __future__ import annotations
 
@@ -39,11 +40,26 @@ def real(value, name):
     raise ValueError(f"{name} must be a finite number")
 
 
+def positive(value, name):
+    """``value`` as a positive finite float (``real``, then > 0)."""
+    value = real(value, name)
+    if value <= 0.0:
+        raise ValueError(f"{name} must be positive and finite")
+    return value
+
+
 def choice(value, name, options):
     """``value`` if it is one of the strings ``options``."""
     if isinstance(value, str) and value in options:
         return value
     raise ValueError(f"{name} must be one of {', '.join(options)}")
+
+
+# the rule of each SolverConfig field that takes a number, which the CLI applies to a config's "solver" too
+SOLVER_RULES = {
+    **dict.fromkeys(("gamma", "sweep_tol", "cycle_tol", "fixpoint_tol"), positive),
+    **dict.fromkeys(("max_sweeps", "max_iters"), lambda value, name: count(value, name, 1)),
+}
 
 
 @dataclass(frozen=True)
@@ -78,15 +94,9 @@ class SolverConfig:
     max_iters: int = DEFAULTS["max_iters"]
 
     def __post_init__(self):
-        for name in ("gamma", "sweep_tol", "cycle_tol", "fixpoint_tol"):
-            if name == "gamma" and self.gamma is None:
-                continue  # the solver picks the step
-            value = real(getattr(self, name), name)
-            if value <= 0.0:
-                raise ValueError(f"{name} must be positive and finite")
-            object.__setattr__(self, name, value)
-        for name in ("max_sweeps", "max_iters"):
-            object.__setattr__(self, name, count(getattr(self, name), name, 1))
+        for name, rule in SOLVER_RULES.items():
+            if name != "gamma" or self.gamma is not None:  # gamma None: the solver picks the step
+                object.__setattr__(self, name, rule(getattr(self, name), name))
 
     def relaxation(self, n: int) -> float:
         """lambda_n of the configured schedule (constant 1 by default)."""

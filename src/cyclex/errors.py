@@ -42,7 +42,7 @@ class InvalidUnitVector(CyclexError):
 
 
 class InvalidRho(CyclexError):
-    """Sphere radius parameter must exceed 1."""
+    """The sphere radius rho is not above 1."""
 
 
 class ConfigValidation(CyclexError):

@@ -27,6 +27,7 @@ from .csvio import write_csv
 from .errors import (
     AntipodalAmbiguity,
     DegenerateInput,
+    DimensionMismatch,
     InvalidRho,
     InvalidUnitVector,
 )
@@ -63,11 +64,13 @@ class SpiralSpec:
     plane: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "target", as_vector(self.target))
-        object.__setattr__(self, "start", as_vector(self.start, self.target.shape[0]))
-        if self.plane is not None:
-            object.__setattr__(self, "plane", as_vector(self.plane, self.target.shape[0]))
-        object.__setattr__(self, "n", count(self.n, "n", 1))
+        x, y = as_vector(self.target), as_vector(self.start)
+        plane = None if self.plane is None else as_vector(self.plane)
+        apart = [key for key, v in (("y", y), ("plane", plane)) if v is not None and v.shape != x.shape]
+        if apart:
+            raise DimensionMismatch(f"x and {' and '.join(apart)} must share dimension")
+        for name, value in (("target", x), ("start", y), ("plane", plane), ("n", count(self.n, "n", 1))):
+            object.__setattr__(self, name, value)
 
     @property
     def alpha(self) -> float:
@@ -170,13 +173,23 @@ class DegenerateFamilies:
     negative_cycle: Cycle
 
 
-def _check_unit_rho(z, rho: float):
-    z, rho = as_vector(z), real(rho, "rho")
+def _check_unit(z, name="z", low=1):
+    """``z`` as a unit vector of dimension at least ``low``: a hypothesis of the
+    degenerate families, checked apart from rho's so that a config reports both."""
+    z = as_vector(z)
+    if z.shape[0] < low:
+        raise InvalidUnitVector(f"{name} must have dimension >= {low}")
     if abs(norm(z.tolist()) - 1.0) > UNIT_NORM_TOL:
-        raise InvalidUnitVector(f"z must have unit norm to {UNIT_NORM_TOL:g}")
+        raise InvalidUnitVector(f"{name} must have unit norm to {UNIT_NORM_TOL:g}")
+    return z
+
+
+def _check_rho(rho, name="rho"):
+    """``rho`` as a finite float above 1."""
+    rho = real(rho, name)
     if not (rho > 1.0):
-        raise InvalidRho("rho must exceed 1")
-    return z, rho
+        raise InvalidRho(f"{name} must exceed 1")
+    return rho
 
 
 def degenerate_families(
@@ -193,7 +206,7 @@ def degenerate_families(
     the closed-form residuals are checked to be exactly zero and the
     periodic engine is run from five random starts against each cycle.
     """
-    z, rho = _check_unit_rho(z, rho)
+    z, rho = _check_unit(z), _check_rho(rho)
     m = count(m, "m", 3)
     d = z.shape[0]
     origin = Singleton(np.zeros(d))
@@ -340,7 +353,7 @@ def falsify_candidate(
     order (z, rho z), (-z, rho z), (-z, -rho z), (z, -rho z), then -z and
     then z against each sphere point.
     """
-    z, rho = _check_unit_rho(z, rho)
+    z, rho = _check_unit(z, low=2), _check_rho(rho)  # the sphere probes need a plane through z
     m, sphere_samples = count(m, "m", 3), count(sphere_samples, "sphere_samples", 2)
     rng = rng if rng is not None else np.random.default_rng(0)
 

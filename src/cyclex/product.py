@@ -247,6 +247,14 @@ def solve_projected_gradient(family: Family, obj, x0, cfg: Optional[SolverConfig
     return _iterate(family, x, lambda x: x - gamma * obj.gradient(x), step, obj, cfg, "projected-gradient")
 
 
+def parallel_variant(variant, m: int) -> str:
+    """``variant`` if it names a parallel scheme that ``m`` sets can run."""
+    choice(variant, "variant", PARALLEL_VARIANTS)
+    if variant == "others_mean" and m < 3:
+        raise TooFewSets("variant others_mean needs at least three sets")
+    return variant
+
+
 def solve_parallel(family: Family, x0, cfg: Optional[SolverConfig] = None, variant: str = "others_mean"):
     """Parallel projections: every block projects a mean of the others.
 
@@ -258,10 +266,8 @@ def solve_parallel(family: Family, x0, cfg: Optional[SolverConfig] = None, varia
     NotConverged (solution attached) when the budget runs out or the limit
     fails the certificate that solve_projected_gradient also applies.
     """
-    choice(variant, "variant", PARALLEL_VARIANTS)
     m = family.m
-    if variant == "others_mean" and m < 3:
-        raise TooFewSets("others_mean needs at least three sets")
+    parallel_variant(variant, m)
     cfg = cfg if cfg is not None else SolverConfig()
     x = as_product_point(x0, m=m, dim=family.dim)
     # the step is proj itself, not x + 1.0 * (proj - x), which rounds differently

@@ -582,7 +582,9 @@ PERIODIC = periodic_config()
 
 # id: (base config, path of the entry, loosely typed value, expected message)
 STRICT_TYPING_CASES = {
-    "target_block_count": (QUADRATIC, ["objective", "target"], [[0, 0], [1, 1]], "objective.target has 2"),
+    "target_block_count": (
+        QUADRATIC, ["objective", "target"], [[0, 0], [1, 1]], "objective.target: tuple has 2 blocks, expected 3"
+    ),
     "scalar_target": (QUADRATIC, ["objective", "target"], 5, "objective.target"),
     "rho_infinity": (FALSIFY, ["rho"], math.inf, "rho must be a finite number"),
     "n_true": (SPIRAL, ["n"], True, "n must be an integer"),
@@ -632,7 +634,7 @@ def test_loosely_typed_config_is_one_config_error(tmp_path, capsys, base, path, 
 REJECTED_CONFIGS = {
     "negative_lambda": (with_value(PERIODIC, ["solver"], {"lambda": -1}), "solver.lambda must be >= 0"),
     "zero_sweep_tol": (
-        with_value(PERIODIC, ["solver"], {"sweep_tol": 0}), "solver: sweep_tol must be positive and finite"
+        with_value(PERIODIC, ["solver"], {"sweep_tol": 0}), "solver.sweep_tol must be positive and finite"
     ),
     "output_list": (with_value(PERIODIC, ["output"], ["a.csv"]), "output must be an object"),
     "output_unknown_key": (with_value(PERIODIC, ["output"], {"xml": "a.xml"}), "output.xml is not recognized"),
@@ -648,6 +650,7 @@ REJECTED_CONFIGS = {
     ),
     "not_an_object": ([PERIODIC], "config must be a JSON object"),
     "plane_dimension": (with_value(SPIRAL, ["plane"], [0, 1, 0]), "x and plane must share dimension"),
+    "one_coordinate_z": (with_value(FALSIFY, ["z"], [1.0]), "z must have dimension >= 2"),
 }
 
 
@@ -657,6 +660,26 @@ def test_rejected_config_is_one_config_error(tmp_path, capsys, config, expected)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert expected in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+# id: (config, every line it must print): each fault of a config is its own config error line
+REPORTED_TOGETHER = {
+    "two_bad_solver_keys": (
+        with_value(PERIODIC, ["solver"], {"sweep_tol": 0, "max_sweeps": 0}),
+        ["solver.sweep_tol must be positive and finite", "solver.max_sweeps must be an integer >= 1"],
+    ),
+    "falsify_rho_and_z": (
+        with_value(with_value(FALSIFY, ["rho"], 0.5), ["z"], [2, 0]),
+        ["rho must exceed 1", "z must have unit norm to 1e-12"],
+    ),
+}
+
+
+@pytest.mark.parametrize("config, expected", list(REPORTED_TOGETHER.values()), ids=list(REPORTED_TOGETHER))
+def test_every_fault_is_its_own_config_error(tmp_path, capsys, config, expected):
+    assert run_main(tmp_path, config) == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: {line}" for line in expected]
     assert not (tmp_path / "out").exists()
 
 
@@ -783,11 +806,15 @@ def test_inputs_the_solvers_reject_are_one_error(tmp_path, capsys, config, expec
             ["project", "--set", '{"type":"halfspace","normal":[1e-310,0],"offset":-1e300}', "--point", "1e308,5"],
             "error: offset is too far below zero for the normal",
         ),
+        (
+            ["falsify", "--candidate", "perimeter", "--m", "3", "--rho", "2", "--z", "1"],
+            "error: z must have dimension >= 2",
+        ),
     ],
     ids=[
         "project_type_list", "project_field_type", "spiral_out", "falsify_out", "falsify_seed", "spiral_n",
         "project_string_radius", "project_bool_bound", "project_deep_json", "spiral_plane_dimension",
-        "project_halfspace_out_of_range",
+        "project_halfspace_out_of_range", "falsify_one_coordinate_z",
     ],
 )
 def test_subcommand_faults_are_one_stderr_line(tmp_path, capsys, argv, expected):

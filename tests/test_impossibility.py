@@ -206,8 +206,17 @@ class TestDegenerateFamilies:
         with pytest.raises(ValueError):
             degenerate_families(2, [1.0, 0.0], 2.0)
 
+    def test_a_one_coordinate_z_builds_the_families(self):
+        # {0}, [-1, 1] and {2} on the line: only the falsifier's sphere probes need a plane
+        df = degenerate_families(3, [1.0], 2.0)
+        assert df.positive_cycle.points[-1].tolist() == [2.0]
+
 
 class TestFalsifier:
+    def test_a_one_coordinate_z_is_refused_before_any_probe(self):
+        with pytest.raises(InvalidUnitVector, match="^z must have dimension >= 2$"):
+            falsify_candidate(BUILTIN_CANDIDATES["perimeter"], 3, [1.0], 2.0, 4)
+
     def test_perimeter_chain(self):
         report = falsify_candidate(BUILTIN_CANDIDATES["perimeter"], 3, [1.0, 0.0], 2.0, 8)
         assert report.chain_values == (4.0, 6.0, 4.0, 6.0)

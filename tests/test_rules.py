@@ -140,3 +140,27 @@ def test_solver_config_stores_the_converted_values():
         SolverConfig(max_sweeps=True)
     with pytest.raises(ValueError, match="^sweep_tol must be positive and finite$"):
         SolverConfig(sweep_tol=0)
+
+
+# id: (library call, the config that breaks the same rule, the prefix its config error adds)
+CROSS_FIELD = {
+    "others_mean": (lambda: solve_parallel(Family(FAMILY.sets[:2]), [1, 1]), {**PARALLEL, "family": BALLS[:2]}, ""),
+    "plane": (lambda: SpiralSpec([0, 0.1], [1, 0], 3, plane=[0, 1, 0]), {**SPIRAL, "plane": [0, 1, 0]}, ""),
+    "rho": (lambda: falsify_candidate(PERIMETER, 3, [1, 0], 0.5, 4), {**FALSIFY, "rho": 0.5}, ""),
+    "unit_z": (lambda: falsify_candidate(PERIMETER, 3, [2, 0], 2.0, 4), {**FALSIFY, "z": [2, 0]}, ""),
+    "start_dimension": (lambda: candidate_gap(FAMILY, "cyclic2", [1, 1, 1]), {**GAP, "start": [1, 1, 1]}, "start: "),
+    "start_blocks": (
+        lambda: solve_parallel(FAMILY, [[1, 1], [1, 1]]), {**PARALLEL, "start": [[1, 1], [1, 1]]}, "start: "
+    ),
+    "positive_tol": (lambda: SolverConfig(sweep_tol=0), with_value(PERIODIC, ["solver", "sweep_tol"], 0), "solver."),
+}
+
+
+@pytest.mark.parametrize("entry", list(CROSS_FIELD))
+def test_library_and_config_share_one_cross_field_rule(entry):
+    call, config, prefix = CROSS_FIELD[entry]
+    exc = refusal(lambda _: call(), None)
+    assert exc is not None
+    with pytest.raises(ConfigValidation) as rejected:
+        validate_config(config)
+    assert rejected.value.errors == [f"{prefix}{exc}"]

@@ -318,14 +318,15 @@ def test_failed_certificate_is_its_own_stop_reason():
 
 
 def test_trajectory_csv_matches_csv_writer(tmp_path):
-    # index columns rebuilt by replaying the sweeps with the public sweep_once
+    # rows rebuilt by replaying the sweeps with the sets' own _project, last set first,
+    # as assert_rows_replay_sweeps does
     fam = Family((Ball([0, 0], 1.0), Ball([3, 0.5], 1.0), Box([1, -2], [2, -1])))
     traj, _ = run_periodic(fam, [-4.0, 7.25])
-    order = [2, 1, 0]  # last set first
-    rows, x = [], traj.start
+    rows, x = [], traj.start.tolist()
     for n in range(traj.sweeps_used):
-        x, inter = sweep_once(fam, x)
-        rows.extend([n, k, order[k], *p] for k, p in enumerate(inter))
+        for k, i in enumerate(reversed(range(fam.m))):
+            x = fam.sets[i]._project(x)
+            rows.append([n, k, i, *x])
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path)
     header = ["sweep", "n_inner", "set_index", "x_0", "x_1"]
