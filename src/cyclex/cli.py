@@ -13,11 +13,14 @@ and a warning into one ``warning:`` line (1 where the filters make it an error).
 keys (each with a typed parser and either a default or required), the
 check that puts its parsed inputs to the library's cross-field rules, its
 runner, and whether it writes a CSV.  Every rule a value must meet is the
-library's own (``cyclex.config`` for scalars and solver settings, and the
-constructors and checks of geometry, product and impossibility for the
-rest); the CLI only turns each refusal into one error line.  The
-``spiral`` and ``falsify`` subcommands build a config from their
-arguments, so every entry point validates through the same table.
+library's own (``cyclex.config`` for scalars, arrays and solver settings,
+and the constructors and checks of geometry, product and impossibility for
+the rest); the CLI only turns each refusal into one error line.  Each value
+is converted once: a point by its key's rule, a set's fields by the set's
+constructor, and a start or ``objective.target`` by the kind's check,
+against the family where it built.  The ``spiral`` and ``falsify``
+subcommands build a config from their arguments, so every entry point
+validates through the same table.
 
 The argument parser is built once, on the first ``main`` call, and
 reused; argparse gives every call a fresh namespace, so no call sees
@@ -38,7 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import SOLVER_RULES, SolverConfig, choice, count, real
+from .config import SOLVER_RULES, SolverConfig, choice, count, real, reals
 from .errors import ConfigValidation, CyclexError, NotConverged
 from .geometry import Family, as_floats, as_vector, from_descriptor, project
 from .impossibility import (
@@ -108,54 +111,14 @@ def _checked(errors, prefix, call, *args):
 # to ``errors`` and returns None.
 
 
-def _numbers(value, name):
-    """``value`` if it is an int or float (never a bool) or nested lists of
-    them; numpy alone would read JSON ``true`` as 1.0 and ``"5"`` as 5.0."""
-    if type(value) is list and {*map(type, value)} <= {int, float}:  # a flat point
-        return value
-    pending = [value]
-    while pending:  # a loop, not recursion: JSON nests as deep as its parser allows
-        item = pending.pop()
-        if isinstance(item, list):
-            pending.extend(item)
-        elif type(item) not in (int, float):
-            raise TypeError(f"{name} must hold only numbers, got {item!r}")
-    return value
-
-
-def _build_set(desc):
-    """The set a descriptor builds, once every field holds only numbers."""
-    built = from_descriptor(desc)
-    for key, value in desc.items():
-        if key != "type":
-            _numbers(value, key)
-    return built
-
-
-def _converted(convert):
-    """The parser of a converter of numbers that raises on a bad value."""
-
-    def parse(value, errors, name):
-        return _checked(errors, f"{name}: ", lambda: convert(_numbers(value, "coordinates")))
-
-    return parse
-
-
-_as_point = _converted(as_vector)
-_as_blocks = _converted(as_product_point)  # a flat point is one block
-# product starts: one point (the cross-check gives every set a copy) or one row per set
-_as_start = _converted(lambda v: as_vector(v) if np.ndim(v) == 1 else as_product_point(v))
-
-
 def _rule(check, *args):
     """The parser of a value that ``check(value, name, *args)``, a rule of the library, accepts."""
     return lambda value, errors, name: _checked(errors, "", check, value, name, *args)
 
 
-def _unit_z(value, errors, name):
-    """A point that is a unit vector with a plane through it, as the falsifier needs."""
-    z = _as_point(value, errors, name)
-    return None if z is None else _checked(errors, "", _check_unit, z, name, 2)
+def _given(value, errors, name):
+    """A start, which the kind's check converts: against the family when it built."""
+    return value
 
 
 def _build_family(descs, errors, name):
@@ -166,7 +129,7 @@ def _build_family(descs, errors, name):
     built = []  # (index, set) of the entries that construct
     for i, desc in enumerate(descs):
         try:
-            built.append((i, _build_set(desc)))
+            built.append((i, from_descriptor(desc)))
         except _PARSE_ERRORS as exc:
             # a message that starts with a field name reads as family[i].field ...
             on_field = isinstance(desc, dict) and str(exc).split(" ")[0] in desc
@@ -224,47 +187,60 @@ def _objective(data, errors, name):
     if "target" not in data:
         errors.append("objective.target is required for quadratic_to_target")
         return None
-    target = _as_blocks(data["target"], errors, "objective.target")
-    return None if target is None else (data["kind"], target)
+    return data["kind"], data["target"]  # converted by the check, against the family
 
 
 # Cross-field checks: check(inputs, errors) on the parsed inputs, any of
-# which may be None after a parse error.  Each asks the library's own rule.
+# which may be None after a parse error, or missing where a required key
+# was.  Each asks the library's own rule.
 
 
 def _check_start(inputs, errors):
-    family, start = inputs["family"], inputs["start"]
-    if family is not None and start is not None:
-        _checked(errors, "start: ", as_vector, start, family.dim)
+    """Convert the start once: against the family when it built, else alone, so
+    that a bad start is still reported next to a bad family."""
+    if "start" in inputs:
+        dim = _shape(inputs)[1]
+        inputs["start"] = _checked(errors, "start: ", as_vector, inputs["start"], dim)
+
+
+def _shape(inputs):
+    """(m, dim) of the family, or (None, None) where it did not build."""
+    family = inputs.get("family")
+    return (None, None) if family is None else (family.m, family.dim)
 
 
 def _check_pair(inputs, errors):
-    if inputs["family"] is not None and inputs["family"].m != 2:
-        errors.append(f"pair_distance needs exactly 2 sets, family has {inputs['family'].m}")
+    m = _shape(inputs)[0]
+    if m is not None and m != 2:
+        errors.append(f"pair_distance needs exactly 2 sets, family has {m}")
     _check_start(inputs, errors)
 
 
 def _check_product(inputs, errors):
-    """Set ``start_blocks``, the start rows or the start point once per set, and check
-    them, the objective's target and the parallel variant against the family."""
-    family, start, objective, variant = map(inputs.get, ("family", "start", "objective", "variant"))
-    if family is None:
-        return
-    if start is not None:
-        blocks = np.tile(start, (family.m, 1)) if start.ndim == 1 else start
-        inputs["start_blocks"] = _checked(errors, "start: ", as_product_point, blocks, family.m, family.dim)
+    """Convert the start and the objective's target once, as _check_start does; set
+    ``start_blocks``, one row per set (a point starts every set); check the parallel
+    variant against the family size."""
+    (m, dim), objective, variant = _shape(inputs), inputs.get("objective"), inputs.get("variant")
+    if "start" in inputs:
+        start = inputs["start"] = _checked(errors, "start: ", reals, inputs["start"], "tuple", (1, 2), dim, m)
+        if start is not None and m is not None:
+            inputs["start_blocks"] = np.tile(start, (m, 1)) if start.ndim == 1 else start
     if objective is not None and objective[1] is not None:
-        _checked(errors, "objective.target: ", as_product_point, objective[1], family.m, family.dim)
-    if variant is not None:
-        _checked(errors, "", parallel_variant, variant, family.m)
+        target = _checked(errors, "objective.target: ", as_product_point, objective[1], m, dim)
+        inputs["objective"] = objective[0], target
+    if variant is not None and m is not None:
+        _checked(errors, "", parallel_variant, variant, m)
 
 
 def _spiral_spec(inputs, errors):
-    """Set ``spec``, the SpiralSpec of the parsed inputs, which the run reuses; a
-    refused ``n``, already reported, is 1 here, so the points are still checked."""
+    """Set ``spec``, the SpiralSpec of the parsed inputs, which the run reuses, and read
+    its angle, which checks the norm hypotheses; a refused ``n``, already reported, is
+    1 here, so the points are still checked."""
     x, y, n, plane = map(inputs.get, ("x", "y", "n", "plane"))
     if x is not None and y is not None:
-        inputs["spec"] = _checked(errors, "", SpiralSpec, x, y, 1 if n is None else n, plane)
+        spec = inputs["spec"] = _checked(errors, "", SpiralSpec, x, y, 1 if n is None else n, plane)
+        if spec is not None:
+            _checked(errors, "", getattr, spec, "alpha")
 
 
 # Runners: run(config) returns (exit code, JSON payload, CSV writer taking
@@ -359,9 +335,8 @@ class _Kind:
 
 
 _REQUIRED = object()
-_POINT = (_as_point, _REQUIRED)
-_FAMILY_START = {"family": (_build_family, _REQUIRED), "start": _POINT}
-_FAMILY_BLOCKS = {"family": (_build_family, _REQUIRED), "start": (_as_start, _REQUIRED)}
+_POINT = (_rule(reals), _REQUIRED)
+_FAMILY_START = {"family": (_build_family, _REQUIRED), "start": (_given, _REQUIRED)}
 
 _COMMON_KEYS = {
     "solver": (_build_solver, SolverConfig()),
@@ -373,15 +348,15 @@ _KINDS = {
     "periodic": _Kind(_FAMILY_START, _run_periodic, _check_start),
     "pair_distance": _Kind(_FAMILY_START, _run_pair_distance, _check_pair),
     "projected_gradient": _Kind(
-        {**_FAMILY_BLOCKS, "objective": (_objective, _REQUIRED)}, _run_projected_gradient, _check_product
+        {**_FAMILY_START, "objective": (_objective, _REQUIRED)}, _run_projected_gradient, _check_product
     ),
     "parallel": _Kind(
-        {**_FAMILY_BLOCKS, "variant": (_rule(choice, PARALLEL_VARIANTS), "others_mean")},
+        {**_FAMILY_START, "variant": (_rule(choice, PARALLEL_VARIANTS), "others_mean")},
         _run_parallel,
         _check_product,
     ),
     "spiral": _Kind(
-        {"x": _POINT, "y": _POINT, "n": (_rule(count, 1), _REQUIRED), "plane": (_as_point, None)},
+        {"x": _POINT, "y": _POINT, "n": (_rule(count, 1), _REQUIRED), "plane": (_rule(reals), None)},
         _run_spiral,
         _spiral_spec,
     ),
@@ -390,7 +365,7 @@ _KINDS = {
             "candidate": (_rule(choice, sorted(BUILTIN_CANDIDATES)), _REQUIRED),
             "m": (_rule(count, 3), _REQUIRED),
             "rho": (_rule(_check_rho), _REQUIRED),
-            "z": (_unit_z, (1.0, 0.0)),
+            "z": (_rule(_check_unit, 2), (1.0, 0.0)),
             "sphere_samples": (_rule(count, 2), 16),
         },
         _run_falsify,
@@ -426,9 +401,8 @@ def validate_config(raw) -> ExperimentConfig:
     for key, (parse, default) in keys.items():
         if key in data:
             inputs[key] = parse(data[key], errors, key)
-        elif default is _REQUIRED:
+        elif default is _REQUIRED:  # left out of inputs
             errors.append(f"{key} is required for kind {kind}")
-            inputs[key] = None
         else:
             inputs[key] = default
     _KINDS[kind].check(inputs, errors)
@@ -530,7 +504,7 @@ def _cmd_project(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"set descriptor parse error: {exc.msg}", file=sys.stderr)
         return 1
-    result = project(_build_set(desc), _parse_point(args.point))
+    result = project(from_descriptor(desc), _parse_point(args.point))
     print(",".join(repr(float(c)) for c in result))
     return 0
 

@@ -1,15 +1,21 @@
 """Solver configuration shared by the sweep and product-space engines, and
-the one rule for each kind of scalar input: ``count``, ``real``, ``positive``
-and ``choice`` each return the value they accept and raise ValueError naming
+the one rule for each kind of input: ``count``, ``real``, ``positive`` and
+``choice`` for scalars, ``reals`` for arrays (points, product tuples and the
+vector fields of sets).  Each returns the value it accepts and raises naming
 the key.  ``SOLVER_RULES`` says which rule each numeric SolverConfig field takes."""
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
+
+from .errors import BlockCountMismatch, DimensionMismatch
 
 # SolverConfig's defaults, tabled in the README; a config file's "solver" object overrides them key by key.
 DEFAULTS = {
@@ -53,6 +59,52 @@ def choice(value, name, options):
     if isinstance(value, str) and value in options:
         return value
     raise ValueError(f"{name} must be one of {', '.join(options)}")
+
+
+_FLAT = {int, float}  # the element types of a JSON point
+_NUMBERS = (int, float, np.integer, np.floating)
+_SHAPES = {1: "a nonempty 1-D array", 2: "a nonempty 2-D array of row vectors"}
+
+
+def reals(value, name, ndim=1, dim=None, m=None):
+    """``value`` as a finite float64 array: a point (``ndim`` 1) of ``dim``
+    coordinates, ``m`` rows of ``dim`` (``ndim`` 2), or either (``ndim`` (1, 2)).
+
+    Every element is an int or a float, numpy's too, never a bool, a string or
+    None, at any depth; a float or int ndarray has only its dtype checked.
+    Raises ValueError, DimensionMismatch or BlockCountMismatch naming ``name``.
+    """
+    # a float or int ndarray and a flat list of Python numbers need no walk
+    if not (type(value) is np.ndarray and value.dtype.kind in "fiu"
+            or type(value) is list and {*map(type, value)} <= _FLAT):
+        pending = [value]
+        while pending:  # a loop, not recursion: JSON nests as deep as its parser allows
+            item = pending.pop()
+            if isinstance(item, np.ndarray):
+                if item.dtype.kind not in "fiu":
+                    pending.append(item.tolist())
+            elif isinstance(item, (list, tuple)):
+                pending.extend(reversed(item))  # the first bad element is the one reported
+            elif isinstance(item, bool) or not isinstance(item, _NUMBERS):
+                raise ValueError(f"{name} must hold only numbers, got {item!r}")
+    ndims = ndim if isinstance(ndim, tuple) else (ndim,)
+    try:
+        v = np.asarray(value, dtype=float)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{name} has non-finite coordinates") from None
+    except ValueError:  # ragged nesting
+        v = np.empty(0)
+    if v.ndim not in ndims or v.size == 0:
+        raise ValueError(f"{name} must be {_SHAPES[max(ndims)]}")
+    # a few coordinates are checked fastest as Python floats, a stack of rows by numpy
+    if not (all(map(math.isfinite, v.tolist())) if v.ndim == 1 else np.isfinite(v).all()):
+        raise ValueError(f"{name} has non-finite coordinates")
+    if m is not None and v.ndim == 2 and v.shape[0] != m:
+        raise BlockCountMismatch(f"{name} has {v.shape[0]} blocks, expected {m}")
+    if dim is not None and v.shape[-1] != dim:
+        noun = f"{name} has" if v.ndim == 1 else f"{name} blocks have"
+        raise DimensionMismatch(f"{noun} dimension {v.shape[-1]}, expected {dim}")
+    return v
 
 
 # the rule of each SolverConfig field that takes a number, which the CLI applies to a config's "solver" too

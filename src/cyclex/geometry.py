@@ -1,16 +1,20 @@
 """Exact nearest-point projections onto a catalog of closed convex sets.
 
-At the public boundary points are 1-D float64 numpy arrays; inside, all
-eight projection kernels take and return lists of Python floats, with
-every dot product added in the one order of ``cyclex.sums``, and one
-range rule (``ConvexSet``) gives any finite input its nearest point.  A
-variant is declared by its dataclass fields: the shared ``__post_init__``
-stores each vector field read-only, all of the first one's length (the
-set's ``dim``), next to a tuple of its Python floats, and the variant
-adds only its own rules.  Every variant exposes ``project``,
-a membership ``sample`` used by probe-style tests, and a JSON
-``descriptor`` round-trip built from the same fields; ``from_descriptor``
-finds the class by the descriptor's ``type`` in one registry.
+At the public boundary points are 1-D float64 numpy arrays: every array
+from outside (a point, a vector field, the affine basis) passes the one
+array rule, ``cyclex.config.reals`` (ints and floats only, never a bool or
+a string; finite; of the expected shape), and every scalar field
+``cyclex.config.real``.  Inside, all eight projection kernels take and
+return lists of Python floats, with every dot product added in the one
+order of ``cyclex.sums``, and one range rule (``ConvexSet``) gives any
+finite input its nearest point.  A variant is declared by its dataclass
+fields: the shared ``__post_init__`` stores each vector field read-only,
+all of the first one's length (the set's ``dim``), next to a tuple of its
+Python floats, and the variant adds only its own rules.  Every variant
+exposes ``project``, a membership ``sample`` used by probe-style tests, and
+a JSON ``descriptor`` round-trip built from the same fields;
+``from_descriptor`` finds the class by the descriptor's ``type`` in one
+registry.
 
 A variant's one kernel is its ``_template`` (template -> compile per
 (variant, d) -> lazy bind): straight-line code for dimension d compiled once
@@ -31,6 +35,7 @@ from operator import gt, sub
 
 import numpy as np
 
+from .config import real, reals
 from .errors import DimensionMismatch
 from .sums import TINY, compiled, distance_kernel, dot, dot_last, norm, pow2, top_exponent
 
@@ -50,33 +55,14 @@ _BALL_BATCH_ROWS = 12
 
 
 def as_vector(x, dim=None) -> np.ndarray:
-    """Coerce ``x`` to a finite 1-D float64 array, optionally checking length."""
-    return as_floats(x, dim)[0]
+    """Coerce ``x`` to a finite 1-D float64 array, optionally checking length (``config.reals``)."""
+    return reals(x, "point", 1, dim)
 
 
 def as_floats(x, dim=None):
-    """``as_vector(x, dim)`` and the list of its Python floats, on which it is checked."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"expected a nonempty 1-D point, got shape {v.shape}")
-    floats = v.tolist()
-    if not all(map(math.isfinite, floats)):
-        raise ValueError("point has non-finite coordinates")
-    if dim is not None and v.shape[0] != dim:
-        raise DimensionMismatch(f"point has dimension {v.shape[0]}, expected {dim}")
-    return v, floats
-
-
-def _frozen(x, name):
-    """A read-only copy of the vector field ``name`` and the list of its Python floats."""
-    v = np.array(x, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-D array")
-    floats = v.tolist()
-    if not all(map(math.isfinite, floats)):
-        raise ValueError(f"{name} has non-finite entries")
-    v.flags.writeable = False
-    return v, floats
+    """``as_vector(x, dim)`` and the list of its Python floats."""
+    v = reals(x, "point", 1, dim)
+    return v, v.tolist()
 
 
 class ConvexSet:
@@ -119,10 +105,12 @@ class ConvexSet:
     def __post_init__(self):
         first = self._converted[0][0]
         for name, vector, scales in self._converted:
-            if vector:
-                value, own = _frozen(getattr(self, name), name)
+            if vector:  # a read-only copy
+                value = np.array(reals(getattr(self, name), name))
+                value.flags.writeable = False
+                own = value.tolist()
             else:
-                value = own = float(getattr(self, name))
+                value = own = real(getattr(self, name), name)
             if name == first:
                 object.__setattr__(self, "dim", value.shape[0])
             elif vector and value.shape[0] != self.dim:
@@ -289,7 +277,7 @@ class Ball(ConvexSet):
 
     def __post_init__(self):
         super().__post_init__()
-        if not math.isfinite(self.radius) or self.radius < 0.0:
+        if self.radius < 0.0:
             raise ValueError("radius must be finite and >= 0")
 
     bounded = True
@@ -376,8 +364,6 @@ class Halfspace(ConvexSet):
 
     def __post_init__(self):
         super().__post_init__()
-        if not math.isfinite(self.offset):
-            raise ValueError("offset must be finite")
         object.__setattr__(self, "_offset", pow2(self.offset, -top_exponent(self.normal.tolist())))
         if self._offset == -math.inf:
             raise ValueError("offset is too far below zero for the normal: no point is representable")
@@ -414,11 +400,7 @@ class AffineSubspace(ConvexSet):
 
     def __post_init__(self):
         super().__post_init__()
-        b = np.array(self.basis, dtype=float)
-        if b.ndim != 2 or b.shape[0] == 0:
-            raise ValueError("basis must be a nonempty 2-D array of row vectors")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("basis has non-finite entries")
+        b = np.array(reals(self.basis, "basis", 2))
         if b.shape[1] != self.dim:
             raise DimensionMismatch("basis vectors must match anchor dimension")
         if b.shape[0] > b.shape[1]:

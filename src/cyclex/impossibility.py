@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import SolverConfig, choice, count, real
+from .config import SolverConfig, choice, count, real, reals
 from .csvio import write_csv
 from .errors import (
     AntipodalAmbiguity,
@@ -64,8 +64,8 @@ class SpiralSpec:
     plane: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        x, y = as_vector(self.target), as_vector(self.start)
-        plane = None if self.plane is None else as_vector(self.plane)
+        x, y = reals(self.target, "x"), reals(self.start, "y")
+        plane = None if self.plane is None else reals(self.plane, "plane")
         apart = [key for key, v in (("y", y), ("plane", plane)) if v is not None and v.shape != x.shape]
         if apart:
             raise DimensionMismatch(f"x and {' and '.join(apart)} must share dimension")
@@ -79,8 +79,9 @@ class SpiralSpec:
 
     @functools.cached_property
     def _frame(self):
-        """(||start||, start / ||start||, the target's unit part orthogonal to it or None
-        where the two are collinear, alpha), after checking the norm hypotheses."""
+        """(||start||, start / ||start||, the unit direction of the working plane
+        orthogonal to it or None where the angle is 0, alpha), after checking the
+        norm hypotheses and, where start and target are antipodal, the plane."""
         x, y = self.target, self.start
         nx, ny = norm(x.tolist()), norm(y.tolist())
         if nx == 0.0:
@@ -91,9 +92,17 @@ class SpiralSpec:
         along = dot(x.tolist(), e1.tolist())
         residual = x - along * e1
         n_res = norm(residual.tolist())
-        if n_res <= _COLLINEAR_RTOL * nx:
-            return ny, e1, None, 0.0 if along > 0.0 else math.pi
-        return ny, e1, residual / n_res, math.atan2(n_res, along)
+        if n_res > _COLLINEAR_RTOL * nx:
+            return ny, e1, residual / n_res, math.atan2(n_res, along)
+        if along > 0.0:
+            return ny, e1, None, 0.0
+        if self.plane is None:
+            raise AntipodalAmbiguity("start and target are antipodal; supply a plane direction to break the tie")
+        hint = self.plane - dot(self.plane.tolist(), e1.tolist()) * e1
+        n_hint = norm(hint.tolist())
+        if n_hint <= _COLLINEAR_RTOL * norm(self.plane.tolist()):
+            raise AntipodalAmbiguity("plane direction is collinear with the start")
+        return ny, e1, hint / n_hint, math.pi
 
 
 def spiral(spec: SpiralSpec):
@@ -110,17 +119,7 @@ def spiral(spec: SpiralSpec):
     y, n = spec.start, spec.n
     ny, e1, e2, alpha = spec._frame
     if e2 is None:
-        if alpha == 0.0:
-            return np.tile(y, (n + 1, 1)), ny  # zero angle: every ray is the start's
-        if spec.plane is None:
-            raise AntipodalAmbiguity(
-                "start and target are antipodal; supply a plane direction to break the tie"
-            )
-        hint = spec.plane - dot(spec.plane.tolist(), e1.tolist()) * e1
-        n_hint = norm(hint.tolist())
-        if n_hint <= _COLLINEAR_RTOL * norm(spec.plane.tolist()):
-            raise AntipodalAmbiguity("plane direction is collinear with the start")
-        e2 = hint / n_hint
+        return np.tile(y, (n + 1, 1)), ny  # zero angle: every ray is the start's
 
     # sequential ray projections, carried in plane coordinates (p, q) and
     # written into the points a block of rows at a time
@@ -176,7 +175,7 @@ class DegenerateFamilies:
 def _check_unit(z, name="z", low=1):
     """``z`` as a unit vector of dimension at least ``low``: a hypothesis of the
     degenerate families, checked apart from rho's so that a config reports both."""
-    z = as_vector(z)
+    z = reals(z, name)
     if z.shape[0] < low:
         raise InvalidUnitVector(f"{name} must have dimension >= {low}")
     if abs(norm(z.tolist()) - 1.0) > UNIT_NORM_TOL:

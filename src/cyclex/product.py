@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .config import SolverConfig, choice
+from .config import SolverConfig, choice, reals
 from .csvio import write_csv
-from .errors import BlockCountMismatch, DimensionMismatch, InvalidStepSize, NotConverged, TooFewSets
+from .errors import BlockCountMismatch, InvalidStepSize, NotConverged, TooFewSets
 from .geometry import Family, as_vector
 from .sums import dot_last, max_distance, pow2, top_exponent
 
@@ -45,19 +45,9 @@ def stack_size(m: int, d: int) -> int:
 
 
 def as_product_point(blocks, m: Optional[int] = None, dim: Optional[int] = None) -> np.ndarray:
-    """Coerce to a finite (m, d) float64 array of stacked blocks."""
-    y = np.asarray(blocks, dtype=float)
-    if y.ndim == 1:
-        y = y[None, :]
-    if y.ndim != 2 or y.size == 0:
-        raise ValueError(f"expected an (m, d) tuple of blocks, got shape {y.shape}")
-    if not np.isfinite(y).all():
-        raise ValueError("tuple has non-finite coordinates")
-    if m is not None and y.shape[0] != m:
-        raise BlockCountMismatch(f"tuple has {y.shape[0]} blocks, expected {m}")
-    if dim is not None and y.shape[1] != dim:
-        raise DimensionMismatch(f"blocks have dimension {y.shape[1]}, expected {dim}")
-    return y
+    """Coerce to a finite (m, d) float64 array of stacked blocks (``config.reals``); a flat point is one block."""
+    y = reals(blocks, "tuple", (1, 2), dim, m)
+    return y if y.ndim == 2 else reals(y[None, :], "tuple", 2, m=m)
 
 
 def project_blocks(family: Family, y: np.ndarray) -> np.ndarray:

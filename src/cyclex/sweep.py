@@ -33,8 +33,7 @@ class Cycle:
 
     @classmethod
     def from_points(cls, family: Family, points) -> "Cycle":
-        # cycle_residual checks each point
-        pts = tuple(np.asarray(p, dtype=float) for p in points)
+        pts = tuple(as_vector(p, family.dim) for p in points)
         return cls(points=pts, residual=cycle_residual(family, pts))
 
     def to_dict(self, sweeps: int, stop_reason: str) -> dict:

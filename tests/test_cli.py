@@ -603,18 +603,18 @@ STRICT_TYPING_CASES = {
     "string_sweep_tol": (PERIODIC, ["solver"], {"sweep_tol": "1e-3"}, "solver.sweep_tol must be a finite"),
     "output_csv_number": (PERIODIC, ["output"], {"csv": 3}, "output.csv must be a path string"),
     "candidate_list": (FALSIFY, ["candidate"], ["perimeter"], "candidate must be one of"),
-    "start_true": (PERIODIC, ["start"], [True, 5], "start: coordinates must hold only numbers"),
-    "start_blocks_string": (PARALLEL, ["start"], ["1", True], "start: coordinates must hold only numbers"),
-    "x_string": (SPIRAL, ["x"], ["0", 0.1], "x: coordinates must hold only numbers"),
-    "y_true": (SPIRAL, ["y"], [True, 0], "y: coordinates must hold only numbers"),
-    "plane_string": (SPIRAL, ["plane"], [0, "1"], "plane: coordinates must hold only numbers"),
-    "z_true": (FALSIFY, ["z"], [True, 0], "z: coordinates must hold only numbers"),
+    "start_true": (PERIODIC, ["start"], [True, 5], "start: point must hold only numbers"),
+    "start_blocks_string": (PARALLEL, ["start"], ["1", True], "start: tuple must hold only numbers"),
+    "x_string": (SPIRAL, ["x"], ["0", 0.1], "x must hold only numbers"),
+    "y_true": (SPIRAL, ["y"], [True, 0], "y must hold only numbers"),
+    "plane_string": (SPIRAL, ["plane"], [0, "1"], "plane must hold only numbers"),
+    "z_true": (FALSIFY, ["z"], [True, 0], "z must hold only numbers"),
     "target_true": (
         QUADRATIC, ["objective", "target"], [[0, 0], [1, True], [2, 2]],
-        "objective.target: coordinates must hold only numbers",
+        "objective.target: tuple must hold only numbers",
     ),
     "center_mixed": (PARALLEL, ["family", 0, "center"], [True, "5"], "family[0].center must hold only numbers"),
-    "radius_true": (PARALLEL, ["family", 1, "radius"], True, "family[1].radius must hold only numbers"),
+    "radius_true": (PARALLEL, ["family", 1, "radius"], True, "family[1].radius must be a finite number"),
     "point_string": (PERIODIC, ["family", 2, "point"], ["2", "0"], "family[2].point must hold only numbers"),
 }
 
@@ -651,6 +651,13 @@ REJECTED_CONFIGS = {
     "not_an_object": ([PERIODIC], "config must be a JSON object"),
     "plane_dimension": (with_value(SPIRAL, ["plane"], [0, 1, 0]), "x and plane must share dimension"),
     "one_coordinate_z": (with_value(FALSIFY, ["z"], [1.0]), "z must have dimension >= 2"),
+    "spiral_inner_outside": (
+        with_value(SPIRAL, ["x"], [0, 2]), "inner target norm 2.0 must be strictly below start norm 1.0"
+    ),
+    "spiral_antipodal": (
+        with_value(SPIRAL, ["x"], [-0.5, 0]),
+        "start and target are antipodal; supply a plane direction to break the tie",
+    ),
 }
 
 
@@ -762,14 +769,8 @@ def test_a_bool_in_a_vector_field_is_one_config_error(tmp_path, capsys, center):
 
 @pytest.mark.parametrize(
     "config, expected",
-    [
-        (with_value(SPIRAL, ["x"], [0, 2]), "error: inner target norm"),
-        (
-            {**QUADRATIC, "objective": {"kind": "pairwise2"}, "solver": {"gamma": 100}},
-            "error: gamma = 100.0 outside",
-        ),
-    ],
-    ids=["spiral_inner_outside", "gamma_out_of_range"],
+    [({**QUADRATIC, "objective": {"kind": "pairwise2"}, "solver": {"gamma": 100}}, "error: gamma = 100.0 outside")],
+    ids=["gamma_out_of_range"],
 )
 def test_inputs_the_solvers_reject_are_one_error(tmp_path, capsys, config, expected):
     assert run_main(tmp_path, config) == 1
@@ -791,7 +792,7 @@ def test_inputs_the_solvers_reject_are_one_error(tmp_path, capsys, config, expec
         (["spiral", "--x", "0,0.1", "--y", "1,0", "--n", "0"], "error: n must be an integer >= 1"),
         (
             ["project", "--set", '{"type":"ball","center":[0,0],"radius":"1"}', "--point", "2,0"],
-            "error: radius must hold only numbers",
+            "error: radius must be a finite number",
         ),
         (
             ["project", "--set", '{"type":"box","lower":[false,0],"upper":[1,1]}', "--point", "2,0"],

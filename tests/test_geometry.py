@@ -125,17 +125,17 @@ class TestValidation:
         "build, error, message",
         [
             (lambda: Singleton([[1, 2]]), ValueError, "point must be a nonempty 1-D array"),
-            (lambda: Singleton([np.nan]), ValueError, "point has non-finite entries"),
+            (lambda: Singleton([np.nan]), ValueError, "point has non-finite coordinates"),
             (lambda: Segment([], [1]), ValueError, "a must be a nonempty 1-D array"),
             (lambda: Segment([0, 0], [1]), DimensionMismatch, "b must match the dimension of a"),
             (lambda: Ray([0, 0]), ValueError, "direction must be nonzero"),
-            (lambda: Ball([0, np.inf], -1.0), ValueError, "center has non-finite entries"),
-            (lambda: Ball([0, 0], "r"), ValueError, "could not convert string to float: 'r'"),
+            (lambda: Ball([0, np.inf], -1.0), ValueError, "center has non-finite coordinates"),
+            (lambda: Ball([0, 0], "r"), ValueError, "radius must be a finite number"),
             (lambda: Ball([0, 0], -1.0), ValueError, "radius must be finite and >= 0"),
             (lambda: Box([0, 1], [1]), DimensionMismatch, "upper must match the dimension of lower"),
             (lambda: Box([0, 1], [1, 0]), ValueError, "lower must be <= upper componentwise"),
             (lambda: Halfspace([0, 0], np.inf), ValueError, "normal must be nonzero"),
-            (lambda: Halfspace([1, 0], np.inf), ValueError, "offset must be finite"),
+            (lambda: Halfspace([1, 0], np.inf), ValueError, "offset must be a finite number"),
             (lambda: AffineSubspace([[0]], [[1]]), ValueError, "anchor must be a nonempty 1-D array"),
             (lambda: AffineSubspace([0, 0], [1, 0]), ValueError,
              "basis must be a nonempty 2-D array of row vectors"),
