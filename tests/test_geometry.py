@@ -130,7 +130,6 @@ class TestValidation:
             (lambda: Segment([0, 0], [1]), DimensionMismatch, "b must match the dimension of a"),
             (lambda: Ray([0, 0]), ValueError, "direction must be nonzero"),
             (lambda: Ball([0, np.inf], -1.0), ValueError, "center has non-finite coordinates"),
-            (lambda: Ball([0, 0], "r"), ValueError, "radius must be a finite number"),
             (lambda: Ball([0, 0], -1.0), ValueError, "radius must be finite and >= 0"),
             (lambda: Box([0, 1], [1]), DimensionMismatch, "upper must match the dimension of lower"),
             (lambda: Box([0, 1], [1, 0]), ValueError, "lower must be <= upper componentwise"),
@@ -150,6 +149,12 @@ class TestValidation:
         with pytest.raises(error) as exc_info:
             build()
         assert str(exc_info.value) == message
+
+    def test_non_numeric_radius_is_refused_by_the_scalar_rule(self):
+        # the radius passes through config.real, not a bare float() conversion
+        with pytest.raises(ValueError) as exc_info:
+            Ball([0, 0], "r")
+        assert str(exc_info.value) == "radius must be a finite number"
 
     def test_dim_is_the_length_of_the_first_field(self):
         rng = np.random.default_rng(2)
