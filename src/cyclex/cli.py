@@ -42,7 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import SOLVER_RULES, SolverConfig, choice, count, real, reals
-from .errors import ConfigValidation, CyclexError, NotConverged
+from .errors import AntipodalAmbiguity, ConfigValidation, CyclexError, NotConverged
 from .geometry import Family, as_floats, as_vector, from_descriptor, project
 from .impossibility import (
     BUILTIN_CANDIDATES,
@@ -119,6 +119,12 @@ def _rule(check, *args):
 def _given(value, errors, name):
     """A start, which the kind's check converts: against the family when it built."""
     return value
+
+
+def _plane(value, errors, name):
+    """The parser of ``plane``: ``_REFUSED``, not None, after appending its refusal."""
+    plane = _checked(errors, "", reals, value, name)
+    return _REFUSED if plane is None else plane
 
 
 def _build_family(descs, errors, name):
@@ -234,13 +240,17 @@ def _check_product(inputs, errors):
 
 def _spiral_spec(inputs, errors):
     """Set ``spec``, the SpiralSpec of the parsed inputs, which the run reuses, and read
-    its angle, which checks the norm hypotheses; a refused ``n``, already reported, is
-    1 here, so the points are still checked."""
+    its angle, which checks the norm hypotheses; a refused ``n`` or ``plane``, already
+    reported, is 1 or none here, so the points are still checked."""
     x, y, n, plane = map(inputs.get, ("x", "y", "n", "plane"))
     if x is not None and y is not None:
+        refused, plane = plane is _REFUSED, None if plane is _REFUSED else plane
         spec = inputs["spec"] = _checked(errors, "", SpiralSpec, x, y, 1 if n is None else n, plane)
-        if spec is not None:
-            _checked(errors, "", getattr, spec, "alpha")
+        try:
+            spec is None or spec.alpha
+        except _PARSE_ERRORS as exc:
+            if not (refused and isinstance(exc, AntipodalAmbiguity)):
+                errors.append(str(exc))
 
 
 # Runners: run(config) returns (exit code, JSON payload, CSV writer taking
@@ -335,6 +345,7 @@ class _Kind:
 
 
 _REQUIRED = object()
+_REFUSED = object()  # a refused plane: reported, so not reported again as a missing tie-break
 _POINT = (_rule(reals), _REQUIRED)
 _FAMILY_START = {"family": (_build_family, _REQUIRED), "start": (_given, _REQUIRED)}
 
@@ -356,7 +367,7 @@ _KINDS = {
         _check_product,
     ),
     "spiral": _Kind(
-        {"x": _POINT, "y": _POINT, "n": (_rule(count, 1), _REQUIRED), "plane": (_rule(reals), None)},
+        {"x": _POINT, "y": _POINT, "n": (_rule(count, 1), _REQUIRED), "plane": (_plane, None)},
         _run_spiral,
         _spiral_spec,
     ),

@@ -7,10 +7,11 @@ over its rows (a float's ``str`` is its ``repr``); a larger one through
 
 * Range.  1e-4 <= |x| < 1e16 is where ``repr`` writes fixed notation;
   ``repr`` itself writes every other cell (0.0, nan, inf, ...) and ties.
-* Scaling.  A table on the ``frexp`` exponent E of |x|, corrected by one
-  comparison with a power of ten, picks s <= 20 with X = |x| 10^s in
-  [1e16, 1e17) up to an ulp.  10^s is an exact double, and Dekker's
-  two-product gives X = hi + lo exactly, hi an integer.
+* Scaling.  A table on the exponent E of |x|, corrected by one comparison
+  with a power of ten, picks s <= 20 with X = |x| 10^s in [1e16, 1e17) up
+  to an ulp.  10^s is an exact double, and Dekker's two-product (|x| split
+  into its top 26 bits and the rest) gives X = hi + lo exactly, hi an
+  integer.
 * Interval.  The reals that round to x, scaled, lie within the exact
   h = 2^(E-54) 10^s of X, and 0.55 < h < 11.2, so the integer nearest X
   is inside.  Taken from hi less its last digit, X and the candidates
@@ -22,12 +23,14 @@ over its rows (a float's ``str`` is its ``repr``); a larger one through
   tie goes to ``repr``.  No candidate is an end X +- h (which rounds to x
   only for an even mantissa), and at a power of two the narrower gap
   below never matters: ``tests/test_csvio.py`` gives the argument.
-* Text.  The digits of the integer and fraction parts of D 10^-s, from a
-  table of four-digit words, with the sign, the point and NUL bytes in a
-  byte matrix of the block's rows; dropping the NULs leaves the text.
+* Text.  Z = D + 9 floor(|x|) 10^s (no double lies between |x| and
+  D 10^-s) is D with a zero put in at place s.  Four-digit words spell
+  its 20 places, and one XOR mask a cell, by s, Z's trailing zeros and
+  the sign, turns the digit zeros into the point, '-', ',' and NULs; an
+  int cell's mask goes by its digit count.  Dropping the NULs from the
+  rows' byte matrix leaves the text.
 
-No step calls libm.  The tables below are built from Python numbers, as
-numpy operations would map the code pages of loops no run uses.
+No step calls libm; the tables below take under a millisecond to build.
 """
 
 from __future__ import annotations
@@ -39,27 +42,39 @@ _BLOCK_CELLS = 2048
 # fewest float cells for which a block takes the kernel.  Timed between the runs of
 # each workload's set (caches as a run leaves them), a trajectory block costs, in us,
 # % path / kernel (medians; numpy 2.4, Python 3.11, a 2-vCPU Xeon VM):
-#   float cells     128       256       512       768
-#   sweep         126/301   234/327   421/368   623/431
-#   product       137/281   233/312   427/359   614/424
-#   witness       137/270   228/304   418/357   619/411
-_KERNEL_CELLS = 512
+#   float cells     128       192       256       320       384       512
+#   sweep         108/176   153/190   198/198   244/206   294/214   378/233
+#   product       114/180   164/196   212/202   256/204   302/218   394/238
+#   witness       115/167   163/182   212/188   254/198   299/202   394/224
+_KERNEL_CELLS = 256
 
 _P10 = np.array([float(10**k) for k in range(23)])
 _P10_HI = np.array([x * 134217729.0 - (x * 134217729.0 - x) for x in _P10.tolist()])  # Dekker's split
-_P10_LO = _P10 - _P10_HI
-_DIV = np.array([10 ** min(k, 18) for k in range(21)], np.int64)  # 10^s, or 10^18 > D for s > 18
-# by frexp exponent E (index E + 13), with 10^g <= 2^(E-1) < 10^(g+1): s = 16 - g,
-# the power 10^(g+1) from which s = 15 - g, and the half gap 2^(E-54)
+# by frexp exponent E = -13..54, with 10^g <= 2^(E-1) < 10^(g+1): s = 16 - g, and
+# the power 10^(g+1) from which s = 15 - g
 _G = [len(str(2 ** (e - 1))) - 1 if e > 0 else -len(str(2 ** (1 - e) - 1)) for e in range(-13, 55)]
-_S = np.array([16 - g for g in _G], np.intp)
 _EDGE = np.array([float(10 ** (g + 1)) if g >= -1 else 1 / 10 ** -(g + 1) for g in _G])
-_HALF_GAP = np.array([2.0 ** (e - 54) for e in range(-13, 55)])
 _TWO = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)  # "00".."99"
 _DIGITS4 = np.stack(np.broadcast_arrays(_TWO[:, None], _TWO), axis=-1).view(np.uint32).ravel()  # "0000".."9999"
-# at 21 r + h: word r (from the right) of a digit field, 0xff on the places q < h
-_BELOW = np.frombuffer(bytes(255 * (4 * r + q < h) for r in range(6) for h in range(21) for q in (3, 2, 1, 0)), "u4")
-_ROWS = np.array([[21 * r] for r in range(5, -1, -1)], np.intp)
+# by 2 (E + 13) + (|x| >= 10^(g+1)): p = 10^s, its split, h = 2^(E-54) 10^s; 9 10^s and 21 s
+_s2 = np.repeat([16 - g for g in _G], 2) - np.tile([0, 1], len(_G))
+_SCALE = np.stack((_P10, _P10_HI, _P10 - _P10_HI, _P10), axis=1).take(_s2, axis=0)
+_SCALE[:, 3] *= [2.0 ** (j // 2 - 67) for j in range(136)]  # 2^(E-54)
+_SCALE_INT = np.stack((np.array([9 * 10 ** min(k, 17) for k in range(22)], np.int64).take(_s2), 21 * _s2), axis=1)
+_R1_C100 = np.array([(r % 10, (r // 10 > 4) * 100.0 - r // 10 * 10) for r in range(100)])  # by hi's last two digits
+_TZ4 = sum(np.arange(10000) % 10**j == 0 for j in range(1, 5)).astype(np.uint8)  # a word's trailing zeros
+# XOR masks on six words of "0"s, place q = 23 - byte: at key 21 s + t (t trailing zeros),
+# NUL ("0" ^ 0x30) outside places min(t, s - 1)..max(s + 1, 17), '.' at s, ',' at 23; a
+# negative cell's at ~key (the table's end, by take's negative indices) has '-' above them
+_q, (_s, _t) = 23 - np.arange(24), np.divmod(np.arange(441), 21)
+_top = np.maximum(_s + 1, 17)[:, None]
+_x = ((_q < np.minimum(_t, _s - 1)[:, None]) | (_q > _top)) * 0x30 + (_q == _s[:, None]) * 0x1E
+_x = np.concatenate((_x, (_x + (_q == _top + 1) * (0x1D - 0x30))[::-1])).astype(np.uint8)
+_x[:, 0] = 0x1C
+_XOR = _x.view(np.uint32)  # built byte by byte, as every table here: the same text on either byte order
+_XOR_INT = ((_q > np.arange(20)[:, None]) * 0x30).astype(np.uint8).view(np.uint32)  # NUL above w digits, at w - 1
+del _G, _s2, _q, _s, _t, _top, _x
+_DIVS = np.array([10**k for k in range(1, 19)], np.int64)
 
 
 def write_csv(out, header, n_ints: int, n_rows: int, columns) -> None:
@@ -95,84 +110,88 @@ def write_csv(out, header, n_ints: int, n_rows: int, columns) -> None:
         out.write((row_fmt * (stop - start)) % tuple(cells))
 
 
-def _words(values, high, n_words, low=0):
-    """(n_words, n) uint32 words of the digits of int64 ``values`` >= 0 on
-    the places low..high-1 (from the right), right-aligned, NUL elsewhere."""
-    places = np.empty((n_words, values.size), np.int64)
-    for i in range(n_words):  # a scalar divisor takes numpy's fast integer division
-        np.floor_divide(values, min(10 ** (4 * (n_words - 1 - i)), 2**63 - 1), out=places[i])  # int64 < 10^20
-    places[1:] -= places[:-1] * 10000
-    words = _DIGITS4.take(places)
-    words &= _BELOW.take(np.add(_ROWS[-n_words:], high, out=places))
-    words &= ~_BELOW.take(np.add(_ROWS[-n_words:], low, out=places))
-    return words
+def _words(values, words):
+    """Fill the (n, k <= 5) uint32 ``words`` with the digits of the int64 ``values`` >= 0,
+    four ASCII digits a word, zeros included; return the last words' values."""
+    k, last = words.shape[1], 0
+    for i in range(k - 1):
+        q = values // 10 ** (4 * (k - 1 - i))  # a scalar divisor takes numpy's fast integer division
+        words[:, i] = _DIGITS4.take(q - last * 10000)
+        last = q
+    low = values - last * 10000
+    words[:, -1] = _DIGITS4.take(low)
+    return low
 
 
 def _shortest(v):
-    """For float64 cells v: the cells ``repr`` must write (bad), and the integer
-    and fraction parts of D 10^-s, s and D's trailing zeros j (module docstring)."""
+    """For float64 cells v: the cells ``repr`` must write (bad), Z (module
+    docstring) and 21 s."""
     a = np.abs(v)
-    bad = (a < 1e-4) | ~(a < 1e16)
-    np.copyto(a, 1.0, where=bad)
-    e = np.add(np.frexp(a)[1], 13, dtype=np.intp)
-    s = _S.take(e) - (a >= _EDGE.take(e))
-    p = _P10.take(s)
-    hi = a * p
-    c = a * 134217729.0  # Veltkamp's split of a, then Dekker's two-product
-    ah = c - (c - a)
-    a -= ah
-    ph, pl = _P10_HI.take(s), _P10_LO.take(s)
-    lo = ((ah * ph - hi) + ah * pl + a * ph) + a * pl
-    h = _HALF_GAP.take(e) * p
+    c = np.fmin(np.fmax(a, 1e-4), 9999999999999998.0)
+    bad = c != a
+    bits = c.view(np.int64)
+    e = (bits >> 52) - 1009  # E + 13
+    i = e + e
+    i += c >= _EDGE.take(e)
+    p, ph, pl, h = _SCALE.take(i, axis=0).T
+    n9, s21 = _SCALE_INT.take(i, axis=0).T
+    hi = c * p
+    ah = (bits & -(1 << 27)).view(np.float64)
+    al = c - ah
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
     big = hi.astype(np.int64)
-    r = (big - big // 100 * 100).astype(np.float64)
-    r1 = r - np.floor(r * 0.1) * 10.0
+    r1, c100 = _R1_C100.take(big - big // 100 * 100, axis=0).T
     # offsets from big - r1, a multiple of ten: X, the multiples of 100 and of
     # ten nearest X, and X rounded; each is a candidate where at most h from X
     x = r1 + lo
-    c100 = (r - r1 > 45.0) * 100.0 - (r - r1)
     c10 = np.floor(x * 0.1 + 0.5) * 10.0
     half = x + 0.5
     c1 = np.floor(half)
     in100, off10 = np.abs(c100 - x) <= h, np.abs(c10 - x)
     d = np.where(in100, c100, np.where(off10 <= h, c10, c1))
     bad |= (off10 == 5.0) | (half == c1)  # ties
-    digits = big + (d - r1).astype(np.int64)
-    j = (off10 <= h).astype(np.intp)
-    k = np.flatnonzero(in100)
-    if k.size:  # j >= 2: 2 + the trailing zeros of D / 100 (below 2^53, so exact as a double)
-        y = (digits[k] // 100).astype(np.float64)
-        j[k] = (np.floor(y / _P10[1:17, None]) == y / _P10[1:17, None]).sum(axis=0) + 2
-    return (bad, *np.divmod(digits, _DIV.take(s)), s, j)
+    return bad, big + (d - r1).astype(np.int64) + np.floor(c).astype(np.int64) * n9, s21
 
 
 def _block_text(ints, floats: np.ndarray) -> str:
     """CSV rows of the integer columns ``ints`` (arrays of values >= 0) and
     the (rows, n) float64 cells, as ``csv.writer`` writes them."""
     (rows, nf), v = floats.shape, floats.ravel()
-    bad, whole, frac, s, j = _shortest(v)
-    # text: an int cell is [',' digits], a float cell [',' sign whole]['.' frac],
-    # each part whole 4-byte words, NUL-padded; a row ends in ['\n' 0 0 0]
-    texts = [repr(x) for x in v[bad].tolist()]
+    bad, z, s21 = _shortest(v)
+    texts = [repr(x) for x in v[bad].tolist()] if bad.any() else []
+    # a row is [int cells][float cells]['\n' 0 0 0]: an int cell ',' and its
+    # digits in n_iw words, a float cell ',' sign digits '.' digits in `slot`
     n_ints = len(ints)
-    lead = np.concatenate((*ints, whole))  # the int cells and the whole parts
-    width = np.searchsorted(_DIV[1:19], lead, "right") + 1  # digit counts
-    n_iw, n_fw = (int(width[: n_ints * rows].max(initial=0)) + 4) // 4, (int(s.max()) + 4) // 4
-    n_ww = max((int(width[n_ints * rows :].max()) + 5) // 4, (max(map(len, texts), default=0) + 4) // 4 - n_fw)
-    slot = n_ww + n_fw
-    out = np.zeros((rows, n_ints * n_iw + nf * slot + 1), np.uint32)
-    words = _words(lead, width, max(n_iw, n_ww))
-    out[:, : n_ints * n_iw].reshape(rows, n_ints, n_iw).T[:] = words[-n_iw:, : n_ints * rows].reshape(n_iw, -1, rows)
-    cells = out[:, n_ints * n_iw : -1].reshape(rows, nf, slot).transpose(2, 0, 1)
-    cells[:n_ww] = words[-n_ww:, n_ints * rows :].reshape(n_ww, rows, nf)
-    cells[n_ww:] = _words(frac, s, n_fw, np.minimum(j, s - 1)).reshape(n_fw, rows, nf)
+    values = np.concatenate(ints) if n_ints else np.zeros(0, np.int64)
+    width = np.searchsorted(_DIVS, values, "right")  # digit counts - 1
+    n_iw = (int(width.max(initial=0)) + 5) // 4
+    slot = max(6, (max(map(len, texts), default=0) + 4) // 4)
+    iwords = np.empty((values.size, n_iw), np.uint32)
+    _words(values, iwords)
+    iwords ^= _XOR_INT[:, 6 - n_iw :].take(width, axis=0)
+    words = np.empty((v.size, 6), np.uint32)
+    words[:, 0] = 0x30303030
+    low = _words(z, words[:, -5:])
+    t = s21 + _TZ4.take(low)  # the key: 21 s + Z's trailing zeros (below 20)
+    if not low.all():  # a zero low word: Z / 10^4 is below 10^14, exact as a double
+        k = np.flatnonzero(low == 0)
+        y = (z[k] // 10000).astype(np.float64) / _P10[1:17, None]
+        t[k] += (np.floor(y) == y).sum(axis=0)
+    t ^= v.view(np.int64) >> 63  # ~key where v < 0
+    words ^= _XOR.take(t, axis=0)
+    out = np.empty((rows, n_ints * n_iw + nf * slot + 1), np.uint32)
+    out[:, : n_ints * n_iw].reshape(rows, n_ints, n_iw)[:] = iwords.reshape(n_ints, rows, n_iw).transpose(1, 0, 2)
+    cells = out[:, n_ints * n_iw : -1].reshape(rows, nf, slot)
+    if slot > 6:  # a repr text as long as 24 characters: the ',' on a word of its own
+        cells[:, :, 0] = 44
+        words.view(np.uint8)[:, 0] = 0
+    cells[:, :, slot - 6 :] = words.reshape(rows, nf, 6)
+    out[:, -1] = 10
     text = out.view(np.uint8)
     text[:, : 4 * n_ints * n_iw : 4 * n_iw] = 44
-    chars = text[:, 4 * n_ints * n_iw : -4].reshape(rows, nf, 4 * slot)
-    chars[:, :, [0, 4 * n_ww]] = 44, 46  # ',' '.'
-    chars[:, :, 1] = (v < 0.0).reshape(rows, nf) * np.uint8(45)  # -0.0 is repr's
     if texts:
         k = np.flatnonzero(bad)
+        chars = text[:, 4 * n_ints * n_iw : -4].reshape(rows, nf, 4 * slot)
         chars[k // nf, k % nf, 1:] = np.array(texts, f"S{4 * slot - 1}").view(np.uint8).reshape(-1, 4 * slot - 1)
-    text[:, 0], text[:, -4] = 0, 10
+    text[:, 0] = 0
     return text.tobytes().translate(None, b"\0").decode("ascii")

@@ -680,6 +680,11 @@ REPORTED_TOGETHER = {
         with_value(with_value(FALSIFY, ["rho"], 0.5), ["z"], [2, 0]),
         ["rho must exceed 1", "z must have unit norm to 1e-12"],
     ),
+    # antipodal points whose tie-break plane is refused: one fault, the plane
+    "spiral_antipodal_refused_plane": (
+        with_value(with_value(SPIRAL, ["x"], [-0.5, 0]), ["plane"], [0, "1"]),
+        ["plane must hold only numbers, got '1'"],
+    ),
 }
 
 

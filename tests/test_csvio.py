@@ -157,6 +157,34 @@ def test_kernel_random_doubles_are_repr(seed):
     assert kernel_texts(values) == [repr(x) for x in values.tolist()]
 
 
+INT_EDGES = [0, *(v for k in range(1, 19) for v in (10**k - 1, 10**k)), 2**63 - 1]
+WIDEST = [1e15, 1e15 + 0.125, 9999999999999998.0, 1234567890123456.8, 1.0000000000000002e-4,
+          1.2345678901234567e-4, 9.999999999999999e-4, 0.0009876543210987654]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        WIDEST + [-x for x in WIDEST] + [0.5, -2.5, 3.0, 0.1],
+        WIDEST + [-x for x in WIDEST] + [0.5, -2.5, 3.0, 0.1]
+        + [math.nan, -0.0, 1e16, -5e-324, -1.7976931348623157e308],
+        [x for x in WIDEST if x >= 1] + [-x for x in WIDEST if x >= 1] + [1.0, -2.5, 10.0, -99.75, 123456789.0],
+    ],
+    ids=["widest", "with_repr_cells", "whole_parts"],
+)
+def test_kernel_block_layout_at_the_widest_cells(values):
+    # one block of many rows: two int columns with a cell at every digit-count
+    # edge, and float cells whose integer part (16 digits, near 1e15) and
+    # fraction (20 places, near 1e-4) are as wide as they get, of both signs;
+    # next to cells repr writes (the longest of them 24 characters), or with
+    # every |x| >= 1, so that '-' and 16 whole digits fill a cell's 20 places
+    floats = np.resize(values, (len(INT_EDGES), 7))
+    ints = [np.array(INT_EDGES), np.array(INT_EDGES[::-1])]
+    rows = [[a, b, *row] for a, b, row in zip(INT_EDGES, INT_EDGES[::-1], floats.tolist())]
+    expected = csv_writer_bytes(["i", "j", *"abcdefg"], rows).decode().split("\n", 1)[1]
+    assert _block_text(ints, floats) == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
 def test_kernel_is_repr(values):
